@@ -414,20 +414,20 @@ int main() {
       }
     }
   }
-  m.efficiency_t4 = m.t1 > 0 ? (m.t4 / m.t1) / 4.0 : 0.0;
+  const double speedup_t4 = m.t1 > 0 ? m.t4 / m.t1 : 0.0;
+  m.efficiency_t4 = speedup_t4 / 4.0;
 
   std::printf(
-      "service_throughput: t1 %.3g, t4 %.3g (%.0f%% of ideal), t8 %.3g "
-      "routes/s idle; %.3g routes/s under 10k flips/s (staleness p99 %.0f "
-      "epochs)\n",
-      m.t1, m.t4, 100.0 * 4.0 * m.efficiency_t4, m.t8, m.churn10k_t4,
+      "service_throughput: t1 %.3g, t4 %.3g (%.2f× t1, %.0f%% efficiency), "
+      "t8 %.3g routes/s idle; %.3g routes/s under 10k flips/s (staleness p99 "
+      "%.0f epochs)\n",
+      m.t1, m.t4, speedup_t4, 100.0 * m.efficiency_t4, m.t8, m.churn10k_t4,
       m.staleness_p99);
   merge_json(m, "BENCH_micro.json");
 
   // Scaling gate: only meaningful where 4 reader threads can actually run in
   // parallel. CI enforces; a 1-core container prints the warning instead.
   const bool gate_disabled = util::env_u64("P2P_SERVICE_NO_GATE", 0) != 0;
-  const double speedup_t4 = m.t1 > 0 ? m.t4 / m.t1 : 0.0;
   if (hw >= 4 && !gate_disabled) {
     if (speedup_t4 < 2.5) {
       std::fprintf(stderr,

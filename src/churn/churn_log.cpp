@@ -1,22 +1,27 @@
 #include "churn/churn_log.h"
 
-#include <algorithm>
-
 #include "util/require.h"
 
 namespace p2p::churn {
 
 namespace {
 
-/// Removes the first occurrence of `value` from `batch`, returning whether
-/// one was found — the in-batch cancellation path (kill then revive of the
-/// same bit inside one staged batch nets out to nothing).
-template <typename T>
-bool erase_staged(std::vector<T>& batch, T value) {
-  const auto it = std::find(batch.begin(), batch.end(), value);
-  if (it == batch.end()) return false;
-  batch.erase(it);
-  return true;
+/// One stable O(batch) pass over a staged list: keeps an entry only if its
+/// bit still differs between the last commit and the shadow (a double flip
+/// nets out to nothing) and only the first entry of a re-staged bit.
+/// `differs(x)` tests the bit; `flip(x)` toggles it in the shadow, which
+/// marks a kept bit consumed for the rest of the pass. Every kept bit is
+/// flipped back before returning, so the shadow ends unchanged.
+template <typename T, typename Differs, typename Flip>
+void keep_net_changes(std::vector<T>& batch, Differs differs, Flip flip) {
+  std::size_t kept = 0;
+  for (const T x : batch) {
+    if (!differs(x)) continue;
+    flip(x);
+    batch[kept++] = x;
+  }
+  batch.resize(kept);
+  for (const T x : batch) flip(x);
 }
 
 }  // namespace
@@ -42,11 +47,13 @@ void ChurnLog::kill_node(graph::NodeId u) {
   if (!shadow_.node_alive(u)) return;  // no-op against the running state
   shadow_.kill_node(u);
   // Alive in the shadow but dead at the last commit means this batch staged
-  // a revive — cancel it; otherwise this kill is a fresh change.
+  // a revive — the kill cancels it, and commit() drops the revive's entry;
+  // otherwise this kill is a fresh change.
   if (committed_.node_alive(u)) {
     staged_.node_kills.push_back(u);
+    ++staged_net_;
   } else {
-    erase_staged(staged_.node_revives, u);
+    --staged_net_;
   }
 }
 
@@ -57,8 +64,9 @@ void ChurnLog::revive_node(graph::NodeId u) {
   shadow_.revive_node(u);
   if (!committed_.node_alive(u)) {
     staged_.node_revives.push_back(u);
+    ++staged_net_;
   } else {
-    erase_staged(staged_.node_kills, u);
+    --staged_net_;
   }
 }
 
@@ -74,8 +82,9 @@ void ChurnLog::kill_link(graph::NodeId u, std::size_t link_index) {
   shadow_.kill_link_slot(slot);
   if (committed_.link_alive_at(slot)) {
     staged_.link_kills.push_back(slot);
+    ++staged_net_;
   } else {
-    erase_staged(staged_.link_revives, slot);
+    --staged_net_;
   }
 }
 
@@ -91,19 +100,48 @@ void ChurnLog::revive_link(graph::NodeId u, std::size_t link_index) {
   shadow_.revive_link_slot(slot);
   if (!committed_.link_alive_at(slot)) {
     staged_.link_revives.push_back(slot);
+    ++staged_net_;
   } else {
-    erase_staged(staged_.link_kills, slot);
+    --staged_net_;
   }
 }
 
 std::size_t ChurnLog::commit(double when) {
   util::require(deltas_.empty() || when >= deltas_.back().when,
                 "ChurnLog::commit: timestamps must be non-decreasing");
+  const auto node_differs = [this](graph::NodeId u) {
+    return committed_.node_alive(u) != shadow_.node_alive(u);
+  };
+  const auto flip_node = [this](graph::NodeId u) {
+    if (shadow_.node_alive(u)) {
+      shadow_.kill_node(u);
+    } else {
+      shadow_.revive_node(u);
+    }
+  };
+  const auto link_differs = [this](std::uint32_t slot) {
+    return committed_.link_alive_at(slot) != shadow_.link_alive_at(slot);
+  };
+  const auto flip_link = [this](std::uint32_t slot) {
+    if (shadow_.link_alive_at(slot)) {
+      shadow_.kill_link_slot(slot);
+    } else {
+      shadow_.revive_link_slot(slot);
+    }
+  };
+  keep_net_changes(staged_.node_kills, node_differs, flip_node);
+  keep_net_changes(staged_.node_revives, node_differs, flip_node);
+  keep_net_changes(staged_.link_kills, link_differs, flip_link);
+  keep_net_changes(staged_.link_revives, link_differs, flip_link);
+  util::require(staged_.change_count() == staged_net_,
+                "ChurnLog::commit: filtered batch disagrees with the net "
+                "staged-change count");
   staged_.when = when;
-  total_changes_ += staged_.change_count();
+  total_changes_ += staged_net_;
   committed_.apply(staged_);  // O(changes); also re-checks normalization
   deltas_.push_back(std::move(staged_));
   staged_ = FailureDelta{};
+  staged_net_ = 0;
   return deltas_.size();
 }
 

@@ -9,14 +9,17 @@
 // [0, e) to the baseline, so valid epochs run 0..size().
 //
 // Recording normalizes: staged changes that are no-ops against the running
-// shadow state (killing the dead, reviving the living, kill+revive of the
-// same bit inside one batch) are dropped at stage time, which is what makes
-// every committed delta an exact, invertible bit-flip set. seek() then moves
-// a live FailureView between any two epochs at O(changed bits) — forward via
-// apply, backward via revert — instead of the O(n) from-scratch rebuild that
-// materialize() provides as the equivalence/benchmark baseline
-// (bench/churn_replay.cpp pins the speedup; tests/churn_log_test.cpp pins
-// bit-equivalence).
+// shadow state (killing the dead, reviving the living) are dropped at stage
+// time, and a kill+revive of the same bit inside one batch cancels — which
+// is what makes every committed delta an exact, invertible bit-flip set.
+// Staging is O(1) per op, cancellation included: a double flip only adjusts
+// a net staged-change count, and commit() drops the cancelled entries in one
+// stable pass over the batch, O(staged ops), that keeps first-stage order.
+// seek() then moves a live FailureView between any two epochs at O(changed
+// bits) — forward via apply, backward via revert — instead of the O(n)
+// from-scratch rebuild that materialize() provides as the
+// equivalence/benchmark baseline (bench/churn_replay.cpp pins the speedup;
+// tests/churn_log_test.cpp pins bit-equivalence).
 #pragma once
 
 #include <cstddef>
@@ -66,14 +69,17 @@ class ChurnLog {
   void kill_link(graph::NodeId u, std::size_t link_index);
   void revive_link(graph::NodeId u, std::size_t link_index);
 
-  [[nodiscard]] bool staged_empty() const noexcept { return staged_.empty(); }
+  /// Net staged changes: bits that differ between the last commit and
+  /// shadow(). O(1).
+  [[nodiscard]] bool staged_empty() const noexcept { return staged_net_ == 0; }
   [[nodiscard]] std::size_t staged_changes() const noexcept {
-    return staged_.change_count();
+    return staged_net_;
   }
 
   /// Commits the staged batch (possibly empty — a heartbeat epoch) stamped
-  /// at virtual time `when`, and returns the new size(). Commit times must
-  /// be non-decreasing.
+  /// at virtual time `when`, and returns the new size(). The committed delta
+  /// lists each net-flipped bit once, in first-stage order; O(staged ops).
+  /// Commit times must be non-decreasing.
   std::size_t commit(double when);
 
   // -- Reading / replay ----------------------------------------------------
@@ -112,11 +118,16 @@ class ChurnLog {
   failure::FailureView baseline_;
   /// State after every committed delta (advanced by apply at each commit).
   /// A bit that differs between committed_ and shadow_ is staged in the
-  /// current batch — the O(1) test that keeps staging linear in batch size
-  /// (the in-batch cancellation erase only runs on a genuine double flip).
+  /// current batch — the O(1) test that makes every staged op O(1), an
+  /// in-batch cancellation included.
   failure::FailureView committed_;
   failure::FailureView shadow_;
+  /// Every fresh change staged since the last commit, in stage order. A
+  /// cancelled change keeps its entry (and a re-staged bit gains a second
+  /// one) until commit() filters the lists against committed_ and shadow_.
   FailureDelta staged_;
+  /// Bits that differ between committed_ and shadow_.
+  std::size_t staged_net_ = 0;
   std::vector<FailureDelta> deltas_;
   std::size_t total_changes_ = 0;
   std::uint64_t graph_generation_ = 0;

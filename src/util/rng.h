@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -135,20 +136,14 @@ inline int poisson_sample(Rng& rng, double mean) noexcept {
   double p = 1.0;
   int k = 0;
   const double bound = [&] {
-    // exp(-mean) computed stably via repeated halving for large means.
+    // exp(-mean), taken in chunks of exp(-30) for large means.
     double m = mean;
     double e = 1.0;
     while (m > 30.0) {
       e *= 9.357622968840175e-14;  // exp(-30)
       m -= 30.0;
     }
-    double t = 1.0, term = 1.0;
-    for (int i = 1; i < 64; ++i) {  // Taylor series of exp(-m), m in (0,30]
-      term *= -m / i;
-      t += term;
-      if (term > -1e-18 && term < 1e-18) break;
-    }
-    return e * t;
+    return e * std::exp(-m);
   }();
   const double u = rng.next_double();
   double cdf = bound;
