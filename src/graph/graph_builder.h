@@ -1,17 +1,20 @@
-// Overlay assembly: the mutable GraphBuilder and the ideal (one-shot)
-// construction of §4.3.
-//
-// Overlays are built in two phases. A GraphBuilder accumulates links in
-// cheap per-node buffers with the same contract as the frozen graph's
-// incremental API (short links first, then long links); freeze() then packs
-// everything into the flat CSR OverlayGraph the routing hot path wants.
-// Building through the builder costs O(nodes + links) total — no flat-array
-// shifting — so it is the only sanctioned path for large graphs.
+// Overlay construction: the one-shot builds of §4.3 and the mutable
+// GraphBuilder.
 //
 // build_overlay realizes the random graph of §4.3 directly: every node links
 // to its nearest neighbour on either side plus ℓ long-distance neighbours
 // drawn from the configured distribution. This is the "ideal network" of
 // Figure 7; the incremental §5 heuristic lives in core/construction.h.
+// build_overlay and build_kleinberg_overlay write the frozen CSR directly:
+// they draw every node's long links into a flat table, count each node's
+// short, forward and reverse links, lay the slices out by a prefix sum, fill
+// them, and freeze — a few flat passes, each fanned across an optional pool.
+//
+// GraphBuilder accumulates links in per-node buffers with the same contract
+// as the frozen graph's incremental API (short links first, then long
+// links); freeze() packs them into the flat CSR OverlayGraph. It serves
+// hand-built graphs and the §5 heuristic, and is the reference the one-shot
+// builds are tested against.
 #pragma once
 
 #include <cstdint>
@@ -25,16 +28,6 @@
 #include "util/thread_pool.h"
 
 namespace p2p::graph {
-
-/// How GraphBuilder::freeze materializes the frozen graph.
-struct FreezeOptions {
-  /// kStandard: the 64-byte-header CSR with inline/spill replicas (mutable,
-  /// the churn experiments' form). kCompact: the 16-byte-header
-  /// delta-encoded arena form (immutable, ~2x leaner; the scale sweeps').
-  EdgeLayout layout = EdgeLayout::kStandard;
-  /// Compact only: request MADV_HUGEPAGE on the arena chunks.
-  bool huge_pages = true;
-};
 
 /// Mutable first phase of overlay construction; freeze() yields the CSR
 /// OverlayGraph. The link contract matches OverlayGraph's incremental API:
@@ -104,20 +97,14 @@ class GraphBuilder {
   /// whole overlay usable in both directions (see BuildSpec::bidirectional).
   void make_bidirectional();
 
-  /// As make_bidirectional(), fanning the missing-reverse discovery (the
-  /// O(links · degree) has_link scans that dominate) across `pool`; the
-  /// cheap appends stay serial in node order, so the result is bit-identical
-  /// to the serial overload for any thread count.
-  void make_bidirectional(util::ThreadPool& pool);
-
   /// Packs the accumulated links into a frozen OverlayGraph in the layout
   /// `opts` selects. The builder is consumed: left empty (size 0) afterwards.
   [[nodiscard]] OverlayGraph freeze(FreezeOptions opts = {});
 
   /// As freeze(), fanning the edge packing (per-node slice copies into the
-  /// flat CSR array, plus the compact encode passes) across `pool`.
-  /// Bit-identical to the serial overload: every slice lands at an offset
-  /// fixed by the serial prefix sum.
+  /// flat CSR array, then the header/spill or compact encode passes) across
+  /// `pool`. Bit-identical to the serial overload: every slice lands at an
+  /// offset fixed by the serial prefix sum.
   [[nodiscard]] OverlayGraph freeze(util::ThreadPool& pool,
                                     FreezeOptions opts = {});
 
@@ -184,17 +171,20 @@ struct BuildSpec {
   EdgeLayout layout = EdgeLayout::kStandard;
 };
 
-/// Builds a frozen overlay per `spec` through a GraphBuilder. All randomness
-/// comes from `rng`: each node samples its long links from a private
-/// util::substream, so the result depends only on (spec, rng).
+/// Builds a frozen overlay per `spec`. All randomness comes from `rng`: each
+/// node samples its long links from a private util::substream, so the result
+/// depends only on (spec, rng). Node u's slice holds its short links, then
+/// its long links in draw order, then (bidirectional) the reverse links it
+/// gained, in ascending source order — the graph GraphBuilder yields for
+/// wire_short_links, add_long_link per draw, make_bidirectional and freeze.
 ///
 /// Throws std::invalid_argument on malformed specs (grid_size < 2,
 /// presence outside (0,1], exponent < 0, base < 2).
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng);
 
-/// As above, fanning the long-link sampling loop (the dominant build cost),
-/// the make_bidirectional reverse-link discovery and the freeze edge packing
-/// across `pool`. Bit-identical to the serial overload for any thread count.
+/// As above, fanning every per-node pass — long-link sampling, link counting,
+/// the reverse-link transpose, the slice fill and the freeze — across
+/// `pool`. Bit-identical to the serial overload for any thread count.
 /// Must not be called from inside a task already running on `pool`.
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng,
                                          util::ThreadPool& pool);
@@ -215,7 +205,7 @@ struct BuildSpec {
                                                    std::size_t long_links,
                                                    double exponent, util::Rng& rng);
 
-/// As above, fanning the long-link sampling and freeze packing across `pool`.
+/// As above, fanning the build's per-node passes across `pool`.
 [[nodiscard]] OverlayGraph build_kleinberg_overlay(std::uint32_t side,
                                                    std::size_t long_links,
                                                    double exponent, util::Rng& rng,
@@ -224,7 +214,7 @@ struct BuildSpec {
 /// Wires only the immediate-neighbour (short) links of g: every node to its
 /// nearest neighbour on each side (wrapping on a ring). Legacy incremental
 /// path (O(n²) on a frozen graph) — kept for tests and small fixtures;
-/// large builds use GraphBuilder::wire_short_links.
+/// large builds use build_overlay or GraphBuilder::wire_short_links.
 void wire_short_links(OverlayGraph& g);
 
 /// Adds the reverse of every long link not already present (in place).

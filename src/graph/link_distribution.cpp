@@ -1,7 +1,9 @@
 #include "graph/link_distribution.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/require.h"
 
@@ -28,16 +30,52 @@ PowerLawLinkSampler::PowerLawLinkSampler(metric::Space space, double exponent)
       prefix_[d] = prefix_[d - 1] + w;
     }
   }
+  if (space_.kind() == metric::Space::Kind::kRing) {
+    const std::uint64_t n = space_.size();
+    const metric::Distance half = n / 2;
+    const double antipode_w =
+        n % 2 == 0 ? std::pow(static_cast<double>(half), -exponent_) : 0.0;
+    ring_total_ = 2.0 * prefix_[half] - antipode_w;
+  }
+  // Bucket guide over [0, prefix_.back()): one bucket per table entry up to
+  // 2^16 buckets, which keeps the guide within L2 while leaving only a few
+  // entries per bucket on the paper's 1/d tables.
+  util::require(diam < std::numeric_limits<std::uint32_t>::max(),
+                "PowerLawLinkSampler: diameter exceeds the guide's index range");
+  const std::size_t buckets =
+      std::bit_ceil(std::min<std::size_t>(diam, std::size_t{1} << 16));
+  bucket_width_ = prefix_.back() / static_cast<double>(buckets);
+  inv_bucket_width_ = static_cast<double>(buckets) / prefix_.back();
+  guide_.resize(buckets + 1);
+  std::size_t d = 1;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const double lower = bucket_floor(b);
+    while (d <= diam && prefix_[d] <= lower) ++d;
+    guide_[b] = static_cast<std::uint32_t>(d);
+  }
+  guide_[buckets] = static_cast<std::uint32_t>(diam + 1);
 }
 
-metric::Distance PowerLawLinkSampler::sample_magnitude(util::Rng& rng,
-                                                       metric::Distance limit) const {
-  // Inverse CDF over weights w(d) = d^-r for d in [1, limit].
-  const double u = rng.next_double() * prefix_[limit];
-  const auto first = prefix_.begin() + 1;
-  const auto last = prefix_.begin() + static_cast<std::ptrdiff_t>(limit) + 1;
-  const auto it = std::upper_bound(first, last, u);
-  auto d = static_cast<metric::Distance>(it - prefix_.begin());
+metric::Distance PowerLawLinkSampler::inverse_cdf(
+    double v, metric::Distance limit) const noexcept {
+  // Find v's bucket: the estimate from the width can be off by one either
+  // way through rounding, so step until bucket_floor(b) <= v < the next
+  // bucket's floor (the last bucket is open above).
+  const std::size_t buckets = guide_.size() - 1;
+  std::size_t b = std::min(static_cast<std::size_t>(v * inv_bucket_width_),
+                           buckets - 1);
+  while (b > 0 && v < bucket_floor(b)) --b;
+  while (b + 1 < buckets && v >= bucket_floor(b + 1)) ++b;
+  // The answer lies in [guide_[b], guide_[b + 1]]: everything before
+  // guide_[b] is <= bucket_floor(b) <= v, and prefix_[guide_[b + 1]] exceeds
+  // the next floor, which exceeds v.
+  const std::size_t lo = guide_[b];
+  const std::size_t hi = std::min<std::size_t>(guide_[b + 1], limit);
+  if (lo > hi) return limit;
+  const auto it = std::upper_bound(prefix_.begin() + static_cast<std::ptrdiff_t>(lo),
+                                   prefix_.begin() + static_cast<std::ptrdiff_t>(hi) + 1,
+                                   v);
+  const auto d = static_cast<metric::Distance>(it - prefix_.begin());
   return d > limit ? limit : d;
 }
 
@@ -46,10 +84,8 @@ metric::Point PowerLawLinkSampler::sample_torus_target(util::Rng& rng,
   const metric::Torus2D torus = space_.as_torus();
   // Draw the radius first (P ∝ ring_size(d) * d^-r), then a uniform point at
   // that radius.
-  const double u = rng.next_double() * prefix_.back();
-  const auto it = std::upper_bound(prefix_.begin() + 1, prefix_.end(), u);
-  auto d = static_cast<metric::Distance>(it - prefix_.begin());
-  if (d >= prefix_.size()) d = prefix_.size() - 1;
+  const metric::Distance d =
+      inverse_cdf(rng.next_double() * prefix_.back(), prefix_.size() - 1);
 
   const auto s = static_cast<std::int64_t>(torus.side());
   const std::uint64_t half = static_cast<std::uint64_t>(s) / 2;
@@ -106,7 +142,8 @@ metric::Point PowerLawLinkSampler::sample_target(util::Rng& rng,
     const double mass_right = prefix_[right];
     const bool go_left = rng.next_double() * (mass_left + mass_right) < mass_left;
     const metric::Distance limit = go_left ? left : right;
-    const metric::Distance d = sample_magnitude(rng, limit);
+    const metric::Distance d =
+        inverse_cdf(rng.next_double() * prefix_[limit], limit);
     return go_left ? source - static_cast<metric::Point>(d)
                    : source + static_cast<metric::Point>(d);
   }
@@ -116,32 +153,13 @@ metric::Point PowerLawLinkSampler::sample_target(util::Rng& rng,
   // per-node distribution exact.
   const std::uint64_t n = space_.size();
   const metric::Distance half = n / 2;
-  const bool even = (n % 2 == 0);
-  // Total mass = 2 * prefix[half] minus the double-counted antipode.
-  const double antipode_w =
-      even ? std::pow(static_cast<double>(half), -exponent_) : 0.0;
-  const double total = 2.0 * prefix_[half] - antipode_w;
-  const double u = rng.next_double() * total;
-  metric::Distance d;
-  bool clockwise;
-  if (u < prefix_[half]) {
-    // Clockwise side carries full weight for each magnitude.
-    const double v = u;
-    const auto it = std::upper_bound(prefix_.begin() + 1,
-                                     prefix_.begin() + static_cast<std::ptrdiff_t>(half) + 1, v);
-    d = static_cast<metric::Distance>(it - prefix_.begin());
-    if (d > half) d = half;
-    clockwise = true;
-  } else {
-    // Counter-clockwise side, excluding the antipode when n is even.
-    const metric::Distance limit = even ? half - 1 : half;
-    const double v = u - prefix_[half];
-    const auto it = std::upper_bound(prefix_.begin() + 1,
-                                     prefix_.begin() + static_cast<std::ptrdiff_t>(limit) + 1, v);
-    d = static_cast<metric::Distance>(it - prefix_.begin());
-    if (d > limit) d = limit;
-    clockwise = false;
-  }
+  const double u = rng.next_double() * ring_total_;
+  // The clockwise side carries full weight for each magnitude; the
+  // counter-clockwise side excludes the antipode when n is even.
+  const bool clockwise = u < prefix_[half];
+  const metric::Distance d =
+      clockwise ? inverse_cdf(u, half)
+                : inverse_cdf(u - prefix_[half], n % 2 == 0 ? half - 1 : half);
   const auto delta = clockwise ? static_cast<std::int64_t>(d) : -static_cast<std::int64_t>(d);
   return *space_.offset(source, delta);
 }
@@ -162,11 +180,7 @@ double PowerLawLinkSampler::probability(metric::Point source, metric::Point targ
     const auto right = space_.size() - 1 - static_cast<metric::Distance>(source);
     return w / (prefix_[left] + prefix_[right]);
   }
-  const std::uint64_t n = space_.size();
-  const metric::Distance half = n / 2;
-  const double antipode_w =
-      (n % 2 == 0) ? std::pow(static_cast<double>(half), -exponent_) : 0.0;
-  return w / (2.0 * prefix_[half] - antipode_w);
+  return w / ring_total_;
 }
 
 std::vector<std::uint64_t> base_b_full_offsets(std::uint64_t n, unsigned base) {

@@ -26,8 +26,10 @@ namespace p2p::graph {
 /// metric::Space.
 ///
 /// Build cost O(diameter), memory O(diameter) shared by all nodes of the
-/// space; each draw costs O(log diameter) (inverse-CDF by binary search on a
-/// prefix-sum table). On the torus the table weights each radius d by
+/// space. Each draw is an inverse-CDF search of a prefix-sum table, narrowed
+/// by a bucket guide to the few entries between two bucket boundaries, so a
+/// draw costs one guide lookup plus a binary search over a short range. On
+/// the torus the table weights each radius d by
 /// ring_size(d) — the number of points at that distance, position
 /// independent by translation invariance — so a draw picks a radius first
 /// and then a uniform point at that radius.
@@ -46,9 +48,17 @@ class PowerLawLinkSampler {
   [[nodiscard]] double exponent() const noexcept { return exponent_; }
 
  private:
-  /// Draws a magnitude in [1, limit] with P(d) ∝ prefix weights (1-D only).
-  [[nodiscard]] metric::Distance sample_magnitude(util::Rng& rng,
-                                                  metric::Distance limit) const;
+  /// The smallest d in [1, limit] with prefix_[d] > v, or limit when there
+  /// is none: std::upper_bound over prefix_[1..limit] clamped to limit, with
+  /// the search confined to v's guide bucket. Precondition: 1 <= limit <=
+  /// diameter, v >= 0.
+  [[nodiscard]] metric::Distance inverse_cdf(double v,
+                                             metric::Distance limit) const noexcept;
+
+  /// Lower value bound of guide bucket b.
+  [[nodiscard]] double bucket_floor(std::size_t b) const noexcept {
+    return static_cast<double>(b) * bucket_width_;
+  }
 
   [[nodiscard]] metric::Point sample_torus_target(util::Rng& rng,
                                                   metric::Point source) const;
@@ -58,6 +68,16 @@ class PowerLawLinkSampler {
   // 1-D: prefix_[d] = sum_{i=1..d} i^-r. Torus: prefix_[d] additionally
   // weights each radius by ring_size(i). prefix_[0] = 0 in both.
   std::vector<double> prefix_;
+  // guide_[b] is the smallest d >= 1 with prefix_[d] > bucket_floor(b)
+  // (diameter + 1 when none), for b < buckets; guide_[buckets] is
+  // diameter + 1. A value in bucket b has its upper_bound index in
+  // [guide_[b], guide_[b + 1]].
+  std::vector<std::uint32_t> guide_;
+  double bucket_width_ = 0.0;      // prefix_.back() / buckets
+  double inv_bucket_width_ = 0.0;  // buckets / prefix_.back()
+  // Ring only: total mass of one source, 2 prefix_[n/2] minus the
+  // antipode's weight when n is even (it names a single node).
+  double ring_total_ = 0.0;
 };
 
 /// Offsets {j * b^i : 1 <= j < b, 0 <= i < ceil(log_b n)} truncated to < n —

@@ -117,7 +117,34 @@ inline std::uint16_t* encode_link(std::uint16_t* p, NodeId u, NodeId v) noexcept
   return p;
 }
 
+/// Runs body(lo, hi) over [0, jobs): fanned across `pool` when there is one
+/// and the job is large enough to repay the fan-out, inline otherwise.
+template <typename Body>
+void fan(util::ThreadPool* pool, std::size_t jobs, Body&& body) {
+  if (pool != nullptr && jobs >= 1024) {
+    pool->parallel_chunks(jobs, pool->thread_count() * 4, body);
+  } else {
+    body(0, jobs);
+  }
+}
+
 }  // namespace
+
+OverlayGraph detail::freeze_csr(metric::Space space,
+                                std::vector<metric::Point> positions,
+                                std::vector<std::uint32_t> degrees,
+                                std::vector<std::uint32_t> short_degree,
+                                std::vector<NodeId> edges, FreezeOptions opts,
+                                util::ThreadPool* pool) {
+  util::require(edges.size() <= std::numeric_limits<std::uint32_t>::max(),
+                "freeze: edge slot index overflow");
+  if (opts.layout == EdgeLayout::kCompact) {
+    return OverlayGraph::freeze_compact(space, std::move(positions), degrees,
+                                        short_degree, edges, opts.huge_pages, pool);
+  }
+  return OverlayGraph(space, std::move(positions), std::move(degrees),
+                      std::move(short_degree), std::move(edges), pool);
+}
 
 OverlayGraph::OverlayGraph(metric::Space space)
     : space_(space),
@@ -144,7 +171,7 @@ OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> posit
 OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
                            std::vector<std::uint32_t> slice_sizes,
                            std::vector<std::uint32_t> short_degree,
-                           std::vector<NodeId> edges)
+                           std::vector<NodeId> edges, util::ThreadPool* pool)
     : space_(space),
       positions_(std::move(positions)),
       short_degree_(std::move(short_degree)),
@@ -161,21 +188,24 @@ OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> posit
     h.offset = offset;
     h.tail = tail;
     h.degree = degree;
-    const std::uint32_t inl =
-        degree < kInlineEdges ? degree : static_cast<std::uint32_t>(kInlineEdges);
-    for (std::uint32_t i = 0; i < inl; ++i) h.inline_edges[i] = edges_[offset + i];
-    tail += degree - inl;
+    tail += degree > kInlineEdges ? degree - static_cast<std::uint32_t>(kInlineEdges) : 0;
     offset += degree;
   }
   headers_[n].offset = offset;
   headers_[n].tail = tail;
   tail_.resize(tail);
-  for (std::size_t u = 0; u < n; ++u) {
-    const NodeHeader& h = headers_[u];
-    for (std::uint32_t i = kInlineEdges; i < h.degree; ++i) {
-      tail_[h.tail + i - kInlineEdges] = edges_[h.offset + i];
+  // Every node's inline prefix and spill land at bases fixed above, so the
+  // copies fan out with no effect on the result.
+  fan(pool, n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t u = lo; u < hi; ++u) {
+      NodeHeader& h = headers_[u];
+      const std::uint32_t inl =
+          h.degree < kInlineEdges ? h.degree : static_cast<std::uint32_t>(kInlineEdges);
+      std::copy_n(edges_.begin() + h.offset, inl, h.inline_edges);
+      std::copy(edges_.begin() + h.offset + inl, edges_.begin() + h.offset + h.degree,
+                tail_.begin() + h.tail);
     }
-  }
+  });
 }
 
 OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
@@ -217,20 +247,10 @@ OverlayGraph OverlayGraph::freeze_compact(
     const std::vector<std::uint32_t>& short_degree,
     const std::vector<NodeId>& edges, bool huge_pages, util::ThreadPool* pool) {
   const std::size_t n = slice_sizes.size();
-  util::require(edges.size() <= std::numeric_limits<std::uint32_t>::max(),
-                "freeze_compact: slot index overflow");
   OverlayGraph g(space, std::move(positions), CompactTag{});
   g.node_count_ = n;
   g.arena_ = util::Arena(util::Arena::kDefaultChunkBytes, huge_pages);
   g.link_count_ = edges.size();
-
-  const auto fan = [&](std::size_t jobs, auto&& body) {
-    if (pool != nullptr && jobs >= 1024) {
-      pool->parallel_chunks(jobs, pool->thread_count() * 4, body);
-    } else {
-      body(0, jobs);
-    }
-  };
 
   // Slot bases (shared keying with the standard layout).
   std::vector<std::uint64_t> slot_off(n + 1);
@@ -242,7 +262,7 @@ OverlayGraph OverlayGraph::freeze_compact(
   // Pass 1: per-node encoded length, rounded up to a whole 2-word unit so
   // the u32 `enc` header field addresses streams past 2^32 words.
   std::vector<std::uint32_t> unit_len(n);
-  fan(n, [&](std::size_t lo, std::size_t hi) {
+  fan(pool, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
       std::size_t words = 0;
       const std::size_t base = slot_off[u];
@@ -266,7 +286,7 @@ OverlayGraph OverlayGraph::freeze_compact(
 
   // Pass 2: headers + encoding (parallel: workers first-touch their span of
   // the arena pages, which matters once shards pin their build pools).
-  fan(n, [&](std::size_t lo, std::size_t hi) {
+  fan(pool, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
       CompactHeader& h = ch[u];
       h.offset = static_cast<std::uint32_t>(slot_off[u]);

@@ -33,9 +33,9 @@
 // pointer walk on the standard layout and a decode-as-you-go cursor on the
 // compact one; operator[] is O(1) standard, O(i) compact.
 //
-// Graphs are normally assembled through GraphBuilder (graph_builder.h) and
-// frozen once; the standard frozen form still supports the in-place
-// mutations the churn experiments need:
+// Graphs are normally built frozen by build_overlay or assembled through
+// GraphBuilder (graph_builder.h); the standard frozen form still supports
+// the in-place mutations the churn experiments need:
 //
 //  * replace_long_link — rewires a slot in place, O(1), offsets unchanged;
 //  * clear_links       — truncates the node's degree to zero, O(1); the
@@ -43,7 +43,7 @@
 //  * add_short_link / add_long_link — kept for incremental (test and
 //    small-scale) construction; they reuse reserved slots when available and
 //    otherwise fall back to an O(edges) insertion that shifts the flat
-//    arrays. Bulk construction should go through GraphBuilder.
+//    arrays. Bulk construction should go through graph_builder.h.
 //
 // Structural growth (an add_* call that cannot reuse a reserved slot) shifts
 // every later node's slots, so FailureViews built over the graph must be
@@ -72,6 +72,18 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 
 /// Frozen edge representation (see file comment).
 enum class EdgeLayout : std::uint8_t { kStandard, kCompact };
+
+/// How a frozen graph is materialized.
+struct FreezeOptions {
+  /// kStandard: the 64-byte-header CSR with inline/spill replicas (mutable,
+  /// the churn experiments' form). kCompact: the 16-byte-header
+  /// delta-encoded arena form (immutable, ~2x leaner; the scale sweeps').
+  EdgeLayout layout = EdgeLayout::kStandard;
+  /// Compact only: request MADV_HUGEPAGE on the arena chunks.
+  bool huge_pages = true;
+};
+
+class OverlayGraph;
 
 namespace detail {
 
@@ -111,6 +123,21 @@ inline NodeId decode_link(const std::uint16_t*& p, NodeId u) noexcept {
   p += 2;
   return static_cast<NodeId>(lo | (hi << 16));
 }
+
+/// Freezes CSR arrays into the layout `opts` selects: node u owns the
+/// degrees[u] links that follow the previous nodes' links in `edges`, its
+/// first short_degree[u] being short links. `positions` is empty for a dense
+/// graph. `pool` (optional) fans the per-node header, spill and encode
+/// passes; the result does not depend on it. The one frozen-form entry of
+/// GraphBuilder::freeze and the build_* functions.
+/// Precondition: degrees sum to edges.size(). Throws std::invalid_argument
+/// when edges.size() exceeds the u32 slot index range.
+[[nodiscard]] OverlayGraph freeze_csr(metric::Space space,
+                                      std::vector<metric::Point> positions,
+                                      std::vector<std::uint32_t> degrees,
+                                      std::vector<std::uint32_t> short_degree,
+                                      std::vector<NodeId> edges,
+                                      FreezeOptions opts, util::ThreadPool* pool);
 
 }  // namespace detail
 
@@ -456,17 +483,23 @@ class OverlayGraph {
   [[nodiscard]] std::size_t standard_layout_bytes() const noexcept;
 
  private:
-  friend class GraphBuilder;
+  friend OverlayGraph detail::freeze_csr(metric::Space space,
+                                         std::vector<metric::Point> positions,
+                                         std::vector<std::uint32_t> degrees,
+                                         std::vector<std::uint32_t> short_degree,
+                                         std::vector<NodeId> edges,
+                                         FreezeOptions opts, util::ThreadPool* pool);
 
-  /// Frozen-form constructor used by GraphBuilder::freeze. `slice_sizes[u]`
-  /// is the degree of node u; `edges` is the concatenated slices.
+  /// Standard frozen-form constructor used by detail::freeze_csr.
+  /// `slice_sizes[u]` is the degree of node u; `edges` is the concatenated
+  /// slices. `pool` (optional) fans the header and spill fill.
   OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
                std::vector<std::uint32_t> slice_sizes,
-               std::vector<std::uint32_t> short_degree, std::vector<NodeId> edges);
+               std::vector<std::uint32_t> short_degree, std::vector<NodeId> edges,
+               util::ThreadPool* pool);
 
-  /// Compact frozen-form factory used by GraphBuilder::freeze with
-  /// EdgeLayout::kCompact: encodes `edges` into the arena-backed stream.
-  /// `pool` (optional) fans the encode passes.
+  /// Compact frozen-form factory used by detail::freeze_csr: encodes `edges`
+  /// into the arena-backed stream. `pool` (optional) fans the encode passes.
   static OverlayGraph freeze_compact(metric::Space space,
                                      std::vector<metric::Point> positions,
                                      const std::vector<std::uint32_t>& slice_sizes,

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -211,9 +212,12 @@ class Registry {
                       std::uint64_t max_value = std::uint64_t{1} << 20);
 
   /// Freezes the metric set and allocates the shard cells (idempotent;
-  /// recorder() seals implicitly).
+  /// recorder() seals implicitly). Safe to race: workers that each take
+  /// their first recorder() concurrently all see the allocated cells.
   void seal();
-  [[nodiscard]] bool sealed() const noexcept { return sealed_; }
+  [[nodiscard]] bool sealed() const noexcept {
+    return sealed_.load(std::memory_order_acquire);
+  }
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_; }
 
@@ -247,7 +251,8 @@ class Registry {
   [[nodiscard]] bool live() const noexcept { return blocks_ != nullptr; }
 
   std::size_t shards_;
-  bool sealed_ = false;
+  std::once_flag seal_once_;
+  std::atomic<bool> sealed_{false};
   std::uint32_t next_cell_ = 0;
   std::vector<Desc> descs_;
   std::vector<std::vector<std::uint64_t>> hist_edges_;

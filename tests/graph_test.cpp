@@ -211,6 +211,99 @@ TEST(PowerLawLinkSampler, RejectsBadParameters) {
   EXPECT_THROW(PowerLawLinkSampler(Space1D::ring(8), -0.5), std::invalid_argument);
 }
 
+TEST(PowerLawLinkSampler, GuidedSearchMatchesFullInverseCdf) {
+  // Every draw must land exactly where a plain std::upper_bound over the
+  // whole prefix-sum table puts it. The reference replays each draw's first
+  // uniforms on a clone of the rng and rebuilds the table from scratch; on
+  // the torus it checks the drawn radius (the only searched quantity).
+  constexpr int kDraws = 1'000'000;
+  const auto prefix_table = [](const metric::Space& space, double r) {
+    std::vector<double> prefix(space.diameter() + 1, 0.0);
+    for (metric::Distance d = 1; d <= space.diameter(); ++d) {
+      const double weight =
+          space.one_dimensional()
+              ? 1.0
+              : static_cast<double>(space.as_torus().ring_size(d));
+      prefix[d] = prefix[d - 1] + weight * std::pow(static_cast<double>(d), -r);
+    }
+    return prefix;
+  };
+  // upper_bound over prefix[1..limit], clamped to limit.
+  const auto full_search = [](const std::vector<double>& prefix, double v,
+                              metric::Distance limit) {
+    const auto it = std::upper_bound(
+        prefix.begin() + 1, prefix.begin() + static_cast<std::ptrdiff_t>(limit) + 1, v);
+    return std::min<metric::Distance>(
+        static_cast<metric::Distance>(it - prefix.begin()), limit);
+  };
+  const auto check = [&](const metric::Space& space, double r,
+                         const std::vector<metric::Point>& sources,
+                         const std::string& label) {
+    const PowerLawLinkSampler sampler(space, r);
+    const std::vector<double> prefix = prefix_table(space, r);
+    util::Rng rng(61);
+    for (int i = 0; i < kDraws; ++i) {
+      const metric::Point src = sources[static_cast<std::size_t>(i) % sources.size()];
+      util::Rng clone = rng;
+      const metric::Point got = sampler.sample_target(rng, src);
+      if (space.kind() == metric::Space::Kind::kTorus2D) {
+        const metric::Distance d =
+            full_search(prefix, clone.next_double() * prefix.back(), space.diameter());
+        if (space.distance(src, got) != d) {
+          FAIL() << label << " draw " << i << ": radius " << space.distance(src, got)
+                 << ", want " << d;
+        }
+        continue;
+      }
+      metric::Point want = 0;
+      if (space.kind() == metric::Space::Kind::kLine) {
+        const auto left = static_cast<metric::Distance>(src);
+        const auto right = space.size() - 1 - left;
+        const bool go_left =
+            clone.next_double() * (prefix[left] + prefix[right]) < prefix[left];
+        const metric::Distance limit = go_left ? left : right;
+        const metric::Distance d =
+            full_search(prefix, clone.next_double() * prefix[limit], limit);
+        want = go_left ? src - static_cast<metric::Point>(d)
+                       : src + static_cast<metric::Point>(d);
+      } else {
+        const std::uint64_t n = space.size();
+        const metric::Distance half = n / 2;
+        const double antipode_w =
+            n % 2 == 0 ? std::pow(static_cast<double>(half), -r) : 0.0;
+        const double u = clone.next_double() * (2.0 * prefix[half] - antipode_w);
+        const bool clockwise = u < prefix[half];
+        const metric::Distance d =
+            clockwise ? full_search(prefix, u, half)
+                      : full_search(prefix, u - prefix[half],
+                                    n % 2 == 0 ? half - 1 : half);
+        want = *space.offset(src, clockwise ? static_cast<std::int64_t>(d)
+                                            : -static_cast<std::int64_t>(d));
+      }
+      // A plain compare per draw: an assertion each would dominate the run.
+      if (got != want) FAIL() << label << " draw " << i << ": " << got << ", want " << want;
+    }
+  };
+  for (const double r : {0.0, 0.5, 1.0, 2.0}) {
+    const std::string tag = " r=" + std::to_string(r);
+    for (const std::uint64_t n : {2ULL, 3ULL, 5ULL, 1'000'000ULL}) {
+      check(Space1D::ring(n), r, {0, static_cast<metric::Point>(n / 2)},
+            "ring n=" + std::to_string(n) + tag);
+    }
+    for (const std::uint64_t n : {2ULL, 5ULL, 1'000'000ULL}) {
+      const auto last = static_cast<metric::Point>(n - 1);
+      check(Space1D::line(n), r, {0, static_cast<metric::Point>(n / 2), last},
+            "line n=" + std::to_string(n) + tag);
+    }
+    for (const std::uint32_t side : {2u, 3u, 64u}) {
+      const metric::Torus2D torus(side);
+      check(metric::Space(torus), r,
+            {0, static_cast<metric::Point>(torus.size() / 2)},
+            "torus side=" + std::to_string(side) + tag);
+    }
+  }
+}
+
 // -- Deterministic link sets ---------------------------------------------------
 
 TEST(BaseBOffsets, FullSetBase2) {
@@ -445,6 +538,7 @@ TEST(GraphBuilder, AggregateLinkLengthsFollowInverseLaw) {
 
 void expect_graphs_identical(const OverlayGraph& got, const OverlayGraph& want,
                              const std::string& label) {
+  ASSERT_EQ(got.layout(), want.layout()) << label;
   ASSERT_EQ(got.size(), want.size()) << label;
   ASSERT_EQ(got.link_count(), want.link_count()) << label;
   ASSERT_EQ(got.edge_slots(), want.edge_slots()) << label;
@@ -455,14 +549,15 @@ void expect_graphs_identical(const OverlayGraph& got, const OverlayGraph& want,
     const auto a = got.neighbors(u);
     const auto b = want.neighbors(u);
     ASSERT_EQ(a.size(), b.size()) << label << " node " << u;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]) << label << " node " << u << " link " << i;
+    auto want_it = b.begin();
+    std::size_t i = 0;
+    for (const NodeId v : a) {
+      ASSERT_EQ(v, *want_it++) << label << " node " << u << " link " << i++;
     }
   }
 }
 
-/// One builder state with duplicate long links and missing reverses — the
-/// corner cases make_bidirectional's serial/parallel equivalence hinges on.
+/// A builder with duplicate long links and uneven degrees.
 GraphBuilder tricky_builder(std::uint64_t n, std::uint64_t seed) {
   GraphBuilder b(Space1D::ring(n));
   b.wire_short_links();
@@ -487,26 +582,6 @@ TEST(GraphBuilderParallel, FreezeMatchesSerial) {
   expect_graphs_identical(b, a, "freeze");
 }
 
-TEST(GraphBuilderParallel, MakeBidirectionalMatchesSerial) {
-  util::ThreadPool pool(4);
-  GraphBuilder serial = tricky_builder(2048, 22);
-  GraphBuilder parallel = tricky_builder(2048, 22);
-  serial.make_bidirectional();
-  parallel.make_bidirectional(pool);
-  const OverlayGraph a = serial.freeze();
-  const OverlayGraph b = parallel.freeze(pool);
-  expect_graphs_identical(b, a, "make_bidirectional");
-}
-
-TEST(GraphBuilderParallel, SmallBuildersFallBackToSerial) {
-  util::ThreadPool pool(4);
-  GraphBuilder serial = tricky_builder(64, 23);
-  GraphBuilder parallel = tricky_builder(64, 23);
-  serial.make_bidirectional();
-  parallel.make_bidirectional(pool);  // below the parallel threshold
-  expect_graphs_identical(parallel.freeze(pool), serial.freeze(), "small");
-}
-
 TEST(GraphBuilderParallel, BidirectionalBuildOverlayMatchesSerial) {
   BuildSpec spec;
   spec.grid_size = 4096;
@@ -517,6 +592,218 @@ TEST(GraphBuilderParallel, BidirectionalBuildOverlayMatchesSerial) {
   const OverlayGraph a = build_overlay(spec, rng_a);
   const OverlayGraph b = build_overlay(spec, rng_b, pool);
   expect_graphs_identical(b, a, "build_overlay bidirectional");
+}
+
+// ---------------------------------------------------------------------------
+// Reference builds: build_overlay and build_kleinberg_overlay assembled
+// through a GraphBuilder — wire the short links, append each node's long
+// links as drawn, make_bidirectional, freeze. The flat builds must match
+// them bit for bit.
+
+std::vector<metric::Point> reference_positions(const BuildSpec& spec, util::Rng& rng) {
+  std::vector<metric::Point> positions;
+  for (int attempt = 0; attempt < 1024; ++attempt) {
+    positions.clear();
+    for (std::uint64_t p = 0; p < spec.grid_size; ++p) {
+      if (rng.next_bool(spec.presence)) positions.push_back(static_cast<metric::Point>(p));
+    }
+    if (positions.size() >= 2) break;
+  }
+  return positions;
+}
+
+void reference_power_law_links(GraphBuilder& g, const BuildSpec& spec, util::Rng& rng) {
+  if (spec.long_links == 0) return;
+  const PowerLawLinkSampler sampler(g.space(), spec.exponent);
+  const std::uint64_t base = rng();
+  for (NodeId u = 0; u < g.size(); ++u) {
+    util::Rng node_rng = util::substream(base, u);
+    const metric::Point src = g.position(u);
+    for (std::size_t k = 0; k < spec.long_links; ++k) {
+      NodeId target = kInvalidNode;
+      if (spec.presence == 1.0) {
+        target = g.node_at(sampler.sample_target(node_rng, src));
+      } else if (spec.sparse_mode == BuildSpec::SparseLinkMode::kRejection) {
+        for (int tries = 0; tries < 256 && target == kInvalidNode; ++tries) {
+          target = g.node_at(sampler.sample_target(node_rng, src));
+        }
+        if (target == kInvalidNode) {
+          target = g.node_nearest(sampler.sample_target(node_rng, src));
+        }
+      } else {
+        target = g.node_nearest(sampler.sample_target(node_rng, src));
+      }
+      if (target != kInvalidNode && target != u) g.add_long_link(u, target);
+    }
+  }
+}
+
+void reference_base_b_links(GraphBuilder& g, const BuildSpec& spec) {
+  const auto offsets = spec.link_model == BuildSpec::LinkModel::kBaseBFull
+                           ? base_b_full_offsets(g.space().size(), spec.base)
+                           : base_b_power_offsets(g.space().size(), spec.base);
+  for (NodeId u = 0; u < g.size(); ++u) {
+    for (const std::uint64_t off : offsets) {
+      for (const int sign : {+1, -1}) {
+        const auto pos = g.space().offset(g.position(u),
+                                          sign * static_cast<std::int64_t>(off));
+        if (!pos) continue;
+        NodeId target = g.node_at(*pos);
+        if (target == kInvalidNode && spec.presence < 1.0 &&
+            spec.sparse_mode == BuildSpec::SparseLinkMode::kSnap) {
+          target = g.node_nearest(*pos);
+        }
+        if (target != kInvalidNode && target != u && !g.has_link(u, target)) {
+          g.add_long_link(u, target);
+        }
+      }
+    }
+  }
+}
+
+OverlayGraph reference_build_overlay(const BuildSpec& spec, util::Rng& rng) {
+  const Space1D space = spec.topology == Space1D::Kind::kRing
+                            ? Space1D::ring(spec.grid_size)
+                            : Space1D::line(spec.grid_size);
+  GraphBuilder builder = spec.presence < 1.0
+                             ? GraphBuilder(space, reference_positions(spec, rng))
+                             : GraphBuilder(space);
+  builder.wire_short_links();
+  if (spec.link_model == BuildSpec::LinkModel::kPowerLaw) {
+    reference_power_law_links(builder, spec, rng);
+  } else {
+    reference_base_b_links(builder, spec);
+  }
+  if (spec.bidirectional) builder.make_bidirectional();
+  return builder.freeze({.layout = spec.layout});
+}
+
+OverlayGraph reference_kleinberg_overlay(std::uint32_t side, std::size_t long_links,
+                                         double exponent, util::Rng& rng) {
+  const metric::Torus2D torus(side);
+  GraphBuilder builder{metric::Space(torus)};
+  for (NodeId u = 0; u < builder.size(); ++u) {
+    const auto [row, col] = torus.coords(static_cast<metric::Point>(u));
+    const auto r = static_cast<std::int64_t>(row);
+    const auto c = static_cast<std::int64_t>(col);
+    builder.add_short_link(u, static_cast<NodeId>(torus.at(r + 1, c)));
+    if (side > 2) builder.add_short_link(u, static_cast<NodeId>(torus.at(r - 1, c)));
+    builder.add_short_link(u, static_cast<NodeId>(torus.at(r, c + 1)));
+    if (side > 2) builder.add_short_link(u, static_cast<NodeId>(torus.at(r, c - 1)));
+  }
+  BuildSpec link_spec;
+  link_spec.long_links = long_links;
+  link_spec.exponent = exponent;
+  reference_power_law_links(builder, link_spec, rng);
+  return builder.freeze();
+}
+
+TEST(BuildOverlay, MatchesGraphBuilderReference) {
+  util::ThreadPool pool1(1), pool2(2), pool4(4);
+  util::ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool4};
+  std::uint64_t seed = 100;
+  // Builds `spec` serially and on every pool; each must equal the reference.
+  const auto check = [&](const BuildSpec& spec, const std::string& label) {
+    ++seed;
+    util::Rng ref_rng(seed);
+    const OverlayGraph want = reference_build_overlay(spec, ref_rng);
+    const std::uint64_t next_draw = ref_rng();
+    for (util::ThreadPool* pool : pools) {
+      util::Rng rng(seed);
+      const OverlayGraph got =
+          pool == nullptr ? build_overlay(spec, rng) : build_overlay(spec, rng, *pool);
+      expect_graphs_identical(
+          got, want,
+          label + " threads=" + std::to_string(pool ? pool->thread_count() : 0));
+      ASSERT_EQ(rng(), next_draw) << label << ": rng streams diverged";
+    }
+  };
+  struct Presence {
+    double p;
+    BuildSpec::SparseLinkMode mode;
+  };
+  const Presence presences[] = {{1.0, BuildSpec::SparseLinkMode::kRejection},
+                                {0.4, BuildSpec::SparseLinkMode::kRejection},
+                                {0.4, BuildSpec::SparseLinkMode::kSnap}};
+  for (const auto topology : {Space1D::Kind::kRing, Space1D::Kind::kLine})
+    for (const std::uint64_t n : {2ULL, 3ULL, 64ULL, 4097ULL})
+      for (const bool bidirectional : {false, true})
+        for (const Presence& presence : presences)
+          for (const EdgeLayout layout : {EdgeLayout::kStandard, EdgeLayout::kCompact}) {
+            BuildSpec spec;
+            spec.grid_size = n;
+            spec.topology = topology;
+            spec.bidirectional = bidirectional;
+            spec.presence = presence.p;
+            spec.sparse_mode = presence.mode;
+            spec.layout = layout;
+            const std::string label =
+                std::string(topology == Space1D::Kind::kRing ? "ring" : "line") +
+                " n=" + std::to_string(n) + " bidir=" + std::to_string(bidirectional) +
+                " presence=" + std::to_string(presence.p) +
+                " snap=" +
+                std::to_string(presence.mode == BuildSpec::SparseLinkMode::kSnap) +
+                " compact=" + std::to_string(layout == EdgeLayout::kCompact);
+            for (const std::size_t links : {0u, 1u, 6u}) {
+              for (const double r : {0.0, 1.0, 2.0}) {
+                spec.long_links = links;
+                spec.exponent = r;
+                check(spec, label + " l=" + std::to_string(links) +
+                                " r=" + std::to_string(r));
+              }
+            }
+            spec.base = 3;
+            spec.link_model = BuildSpec::LinkModel::kBaseBFull;
+            check(spec, label + " base-b full");
+            spec.link_model = BuildSpec::LinkModel::kBaseBPowers;
+            check(spec, label + " base-b powers");
+          }
+  for (const std::uint32_t side : {2u, 3u, 64u}) {
+    ++seed;
+    util::Rng ref_rng(seed);
+    const OverlayGraph want = reference_kleinberg_overlay(side, 3, 2.0, ref_rng);
+    for (util::ThreadPool* pool : pools) {
+      util::Rng rng(seed);
+      const OverlayGraph got = pool == nullptr
+                                   ? build_kleinberg_overlay(side, 3, 2.0, rng)
+                                   : build_kleinberg_overlay(side, 3, 2.0, rng, *pool);
+      expect_graphs_identical(got, want, "torus side=" + std::to_string(side));
+    }
+  }
+}
+
+/// FNV-1a over every node's position, short degree, degree and links.
+std::uint64_t graph_hash(const OverlayGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(g.size());
+  for (NodeId u = 0; u < g.size(); ++u) {
+    mix(static_cast<std::uint64_t>(g.position(u)));
+    mix(g.short_degree(u));
+    mix(g.out_degree(u));
+    for (const NodeId v : g.neighbors(u)) mix(v);
+  }
+  return h;
+}
+
+TEST(BuildOverlay, LargeBidirectionalRingHashIsPinned) {
+  // Pins the exact graph — sampler draws, link order, reverse links — of a
+  // 1e5-node bidirectional ring with ℓ = ⌈lg n⌉, serial and pooled.
+  BuildSpec spec;
+  spec.grid_size = 100'000;
+  spec.long_links = 17;
+  spec.bidirectional = true;
+  constexpr std::uint64_t kPinned = 0xf74db3736baaf1a3ULL;
+  util::Rng serial_rng(1302);
+  EXPECT_EQ(graph_hash(build_overlay(spec, serial_rng)), kPinned);
+  util::ThreadPool pool(4);
+  util::Rng pooled_rng(1302);
+  EXPECT_EQ(graph_hash(build_overlay(spec, pooled_rng, pool)), kPinned);
 }
 
 TEST(OverlayGraph, StructuralGenerationTracksSlotMoves) {

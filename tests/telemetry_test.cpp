@@ -153,7 +153,8 @@ TEST(Registry, GaugeAggregatesMinMaxAcrossShards) {
 
   Registry reg2(1);
   (void)reg2.gauge("never");
-  const GaugeAggregate* none = reg2.snapshot().gauge("never");
+  const Snapshot snap2 = reg2.snapshot();
+  const GaugeAggregate* none = snap2.gauge("never");
   ASSERT_NE(none, nullptr);
   EXPECT_FALSE(none->set());
 }
