@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/require.h"
-#include "util/thread_pool.h"
 
 namespace p2p::store {
 
@@ -69,33 +68,26 @@ std::size_t nearest_live_1d(const failure::FailureView& view, metric::Point p,
   return emitted;
 }
 
-/// Bounded insertion of c into the sorted prefix heap[0..filled): keeps the
-/// best `count` candidates in (d, id) order.
-void insert_bounded(std::vector<Cand>& best, std::size_t count, Cand c) {
-  if (best.size() == count && !c.before(best.back())) return;
-  auto it = std::upper_bound(
-      best.begin(), best.end(), c,
-      [](const Cand& a, const Cand& b) { return a.before(b); });
-  best.insert(it, c);
-  if (best.size() > count) best.pop_back();
-}
-
-/// Torus scan over one id range: local top-`count` by (d, id).
-std::vector<Cand> scan_range(const failure::FailureView& view, metric::Point p,
-                             std::size_t count, std::size_t lo, std::size_t hi) {
+/// Torus scan: bounded insertion keeps the best `count` live candidates in
+/// (d, id) order, which are then written to out.
+std::size_t nearest_live_scan(const failure::FailureView& view,
+                              metric::Point p, std::size_t count,
+                              std::span<NodeId> out) {
   const graph::OverlayGraph& g = view.graph();
   const metric::Space& space = g.space();
   std::vector<Cand> best;
-  best.reserve(count);
-  for (std::size_t u = lo; u < hi; ++u) {
-    const auto id = static_cast<NodeId>(u);
+  best.reserve(count + 1);
+  for (NodeId id = 0; id < g.size(); ++id) {
     if (!view.node_alive(id)) continue;
-    insert_bounded(best, count, Cand{space.distance(g.position(id), p), id});
+    const Cand c{space.distance(g.position(id), p), id};
+    if (best.size() == count && !c.before(best.back())) continue;
+    best.insert(std::upper_bound(best.begin(), best.end(), c,
+                                 [](const Cand& a, const Cand& b) {
+                                   return a.before(b);
+                                 }),
+                c);
+    if (best.size() > count) best.pop_back();
   }
-  return best;
-}
-
-std::size_t emit(const std::vector<Cand>& best, std::span<NodeId> out) {
   for (std::size_t i = 0; i < best.size(); ++i) out[i] = best[i].id;
   return best.size();
 }
@@ -118,31 +110,7 @@ std::size_t nearest_live(const failure::FailureView& view, metric::Point p,
   if (view.graph().space().one_dimensional()) {
     return nearest_live_1d(view, p, count, out);
   }
-  return emit(scan_range(view, p, count, 0, view.graph().size()), out);
-}
-
-std::size_t nearest_live(const failure::FailureView& view, metric::Point p,
-                         std::size_t count, std::span<NodeId> out,
-                         util::ThreadPool& pool) {
-  check_args(view, p, count, out);
-  if (count == 0) return 0;
-  if (view.graph().space().one_dimensional()) {
-    return nearest_live_1d(view, p, count, out);  // already O(k); no fan-out
-  }
-  const std::size_t n = view.graph().size();
-  // Exact top-`count` under the (d, id) total order is unique, so merging
-  // per-chunk top-`count` lists reproduces the serial scan bit-for-bit no
-  // matter how the range was cut.
-  auto best = pool.parallel_reduce(
-      n, pool.thread_count() * 4, std::vector<Cand>{},
-      [&](std::size_t lo, std::size_t hi) {
-        return scan_range(view, p, count, lo, hi);
-      },
-      [&](std::vector<Cand> acc, std::vector<Cand> part) {
-        for (const Cand& c : part) insert_bounded(acc, count, c);
-        return acc;
-      });
-  return emit(best, out);
+  return nearest_live_scan(view, p, count, out);
 }
 
 std::vector<graph::NodeId> replica_set(const failure::FailureView& view,

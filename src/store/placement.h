@@ -17,10 +17,8 @@
 // a contiguous run of the position-sorted node order, so selection is a
 // two-cursor outward walk from the nearest node — O(k + dead skipped),
 // independent of n. On the torus the flattened order is not metric order and
-// selection is an O(n·k) bounded-insertion scan; the pooled overload fans
-// that scan (per-range top-k, deterministic merge) and is bit-identical to
-// the serial walk. Torus-placed stores are a test/demo-scale configuration;
-// the availability benches run on the ring.
+// selection is an O(n·k) bounded-insertion scan. Torus-placed stores are a
+// test/demo-scale configuration; the availability benches run on the ring.
 #pragma once
 
 #include <cstddef>
@@ -30,10 +28,6 @@
 #include "failure/failure_model.h"
 #include "graph/overlay_graph.h"
 #include "metric/space.h"
-
-namespace p2p::util {
-class ThreadPool;
-}  // namespace p2p::util
 
 namespace p2p::store {
 
@@ -48,12 +42,6 @@ inline constexpr std::size_t kMaxReplicas = 64;
 /// count <= kMaxReplicas <= out.size().
 std::size_t nearest_live(const failure::FailureView& view, metric::Point p,
                          std::size_t count, std::span<graph::NodeId> out);
-
-/// Pool-fanned variant of the torus scan (1-D spaces take the serial walk
-/// regardless — it is already O(k)). Bit-identical to the serial overload.
-std::size_t nearest_live(const failure::FailureView& view, metric::Point p,
-                         std::size_t count, std::span<graph::NodeId> out,
-                         util::ThreadPool& pool);
 
 /// Allocating convenience wrapper: the k-replica set of a key point.
 [[nodiscard]] std::vector<graph::NodeId> replica_set(

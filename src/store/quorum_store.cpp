@@ -1,7 +1,6 @@
 #include "store/quorum_store.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "dht/hash.h"
 #include "util/require.h"
@@ -28,9 +27,15 @@ struct SubQuery {
   double launch_ms = 0.0;
 };
 
+}  // namespace
+
 /// Mutable per-op state across waves.
-struct OpState {
-  std::array<NodeId, kMaxReplicas> cand{};
+struct QuorumStore::OpState {
+  /// The key's record: resolved at op start (a put creates it); a get whose
+  /// key had none looks again at read time.
+  KeyInfo* record = nullptr;
+  /// Placement candidates, a slice of the batch's flat buffer.
+  std::span<NodeId> cand;
   std::size_t cand_count = 0;
   std::size_t primaries = 0;
   std::size_t next_standby = 0;
@@ -49,10 +54,8 @@ struct OpState {
   std::string best_value;
 };
 
-}  // namespace
-
 QuorumStore::QuorumStore(const graph::OverlayGraph& g, QuorumConfig config)
-    : graph_(&g), config_(config), storage_(g.size()) {
+    : graph_(&g), config_(config), held_(g.size()) {
   util::require(config_.k >= 1, "QuorumStore: k must be >= 1");
   util::require(config_.r >= 1 && config_.r <= config_.k,
                 "QuorumStore: R must be in [1, k]");
@@ -67,42 +70,48 @@ metric::Point QuorumStore::point_of(std::uint64_t digest) const noexcept {
   return static_cast<metric::Point>(digest % graph_->space().size());
 }
 
-bool QuorumStore::apply_write(NodeId node, std::uint64_t digest,
-                              const Version& version, std::string_view value) {
-  bool first_copy = false;
-  bool changed = false;
-  {
-    std::lock_guard lock(node_mutex_[node_stripe(node)].m);
-    auto& map = storage_[node];
-    auto it = map.find(digest);
-    if (it == map.end()) {
-      map.emplace(digest, Stored{version, std::string(value)});
-      first_copy = changed = true;
-    } else if (version.newer_than(it->second.version)) {
-      it->second.version = version;
-      it->second.value.assign(value);
-      changed = true;
-    }
-  }
-  if (first_copy) {
-    std::lock_guard lock(key_mutex_[key_stripe(digest)].m);
-    auto& holders = directory_[key_stripe(digest)][digest].holders;
-    if (std::find(holders.begin(), holders.end(), node) == holders.end()) {
-      holders.push_back(node);
-    }
-  }
-  return changed;
+QuorumStore::KeyInfo& QuorumStore::record(std::uint64_t digest) {
+  std::lock_guard lock(key_mutex_[key_stripe(digest)].m);
+  return directory_[key_stripe(digest)][digest];
 }
 
-Version QuorumStore::next_version(std::uint64_t digest, NodeId writer) {
+QuorumStore::KeyInfo* QuorumStore::find_record(std::uint64_t digest) {
   std::lock_guard lock(key_mutex_[key_stripe(digest)].m);
-  KeyInfo& ki = directory_[key_stripe(digest)][digest];
+  auto& shard = directory_[key_stripe(digest)];
+  const auto it = shard.find(digest);
+  return it == shard.end() ? nullptr : &it->second;
+}
+
+Version QuorumStore::issue(KeyInfo& ki, std::uint64_t digest, NodeId writer) {
+  std::lock_guard lock(key_mutex_[key_stripe(digest)].m);
   return Version{++ki.issued, writer};
 }
 
-void QuorumStore::commit(std::uint64_t digest, const Version& version) {
+bool QuorumStore::write(KeyInfo& ki, std::uint64_t digest, NodeId node,
+                        const Version& version, std::string_view value) {
+  const auto update = [&](Copy& c) {
+    if (!version.newer_than(c.version)) return false;
+    c.version = version;
+    c.value.assign(value);
+    return true;
+  };
+  {
+    std::lock_guard lock(key_mutex_[key_stripe(digest)].m);
+    if (Copy* c = ki.copy_at(node)) return update(*c);
+  }
+  // First copy: the digest joins held_[node] under the same locks, so a
+  // concurrent forget(node) either sees both or neither.
+  std::lock_guard node_lock(node_mutex_[node_stripe(node)].m);
+  std::lock_guard key_lock(key_mutex_[key_stripe(digest)].m);
+  if (Copy* c = ki.copy_at(node)) return update(*c);  // lost a first-copy race
+  ki.copies.push_back(Copy{node, version, std::string(value)});
+  held_[node].push_back(digest);
+  return true;
+}
+
+void QuorumStore::commit(KeyInfo& ki, std::uint64_t digest,
+                         const Version& version) {
   std::lock_guard lock(key_mutex_[key_stripe(digest)].m);
-  KeyInfo& ki = directory_[key_stripe(digest)][digest];
   if (ki.committed.seq == 0) {
     keys_committed_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -110,15 +119,6 @@ void QuorumStore::commit(std::uint64_t digest, const Version& version) {
   // A committed seq must never outrun the issue counter (install() commits
   // versions it issued itself; run_batch issues before routing).
   if (version.seq > ki.issued) ki.issued = version.seq;
-}
-
-std::optional<QuorumStore::Stored> QuorumStore::read_replica(
-    NodeId node, std::uint64_t digest) const {
-  std::lock_guard lock(node_mutex_[node_stripe(node)].m);
-  const auto& map = storage_[node];
-  const auto it = map.find(digest);
-  if (it == map.end()) return std::nullopt;
-  return it->second;
 }
 
 void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
@@ -137,6 +137,7 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
   const std::uint64_t lat_base = util::splitmix64(seed_base ^ 0x9d5c0f1e6b7a3d42ULL);
 
   std::vector<OpState> states(ops.size());
+  std::vector<NodeId> cand(ops.size() * want);
   std::vector<SubQuery> inflight;
   std::vector<SubQuery> next;
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -146,12 +147,15 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
                            "QuorumStore: op client out of range");
     st.digest = dht::key_digest(op.key);
     st.lat_rng = util::substream(lat_base, i);
-    st.cand_count = nearest_live(view, point_of(st.digest), want,
-                                 std::span<NodeId>(st.cand));
+    st.cand = std::span<NodeId>(cand).subspan(i * want, want);
+    st.cand_count = nearest_live(view, point_of(st.digest), want, st.cand);
     st.primaries = std::min(config_.k, st.cand_count);
     st.next_standby = st.primaries;
     if (op.type == OpType::kPut) {
-      st.put_version = next_version(st.digest, op.client);
+      st.record = &record(st.digest);
+      st.put_version = issue(*st.record, st.digest, op.client);
+    } else {
+      st.record = find_record(st.digest);
     }
     const std::size_t fanout = op.type == OpType::kPut
                                    ? st.primaries
@@ -206,7 +210,7 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
 
       if (success) {
         if (op.type == OpType::kPut) {
-          apply_write(sq.replica, st.digest, st.put_version, op.value);
+          write(*st.record, st.digest, sq.replica, st.put_version, op.value);
           ++st.acks;
           st.quorum = st.acks >= config_.w;
           if (config_.hinted_handoff && sq.hint_for != graph::kInvalidNode) {
@@ -218,12 +222,16 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
         } else {
           ++st.responses;
           st.quorum = st.responses >= config_.r;
-          if (auto stored = read_replica(sq.replica, st.digest)) {
-            if (!st.found || stored->version.newer_than(st.best)) {
-              st.best = stored->version;
-              st.best_value = std::move(stored->value);
+          if (st.record == nullptr) st.record = find_record(st.digest);
+          if (st.record != nullptr) {
+            std::lock_guard lock(key_mutex_[key_stripe(st.digest)].m);
+            if (const Copy* c = st.record->copy_at(sq.replica)) {
+              if (!st.found || c->version.newer_than(st.best)) {
+                st.best = c->version;
+                st.best_value.assign(c->value);
+              }
+              st.found = true;
             }
-            st.found = true;
           }
         }
       } else if (!st.quorum && st.next_standby < st.cand_count) {
@@ -264,7 +272,7 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
       res.ok = st.acks >= config_.w;
       res.version = st.put_version;
       if (res.ok) {
-        commit(st.digest, st.put_version);
+        commit(*st.record, st.digest, st.put_version);
       } else {
         telem.recorder.add(telem.metrics.put_quorum_fail);
       }
@@ -281,31 +289,25 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
       continue;
     }
     res.version = st.best;
-    res.value = st.best_value;
     {
       std::lock_guard lock(key_mutex_[key_stripe(st.digest)].m);
-      const auto& shard = directory_[key_stripe(st.digest)];
-      const auto it = shard.find(st.digest);
-      if (it != shard.end() && it->second.committed.newer_than(st.best)) {
-        res.stale = true;
-      }
+      res.stale = st.record->committed.newer_than(st.best);
     }
     if (res.stale) telem.recorder.add(telem.metrics.stale_reads);
     if (config_.read_repair && res.ok) {
-      // Push the returned version to live primaries holding less. apply_write
+      // Push the returned version to live primaries holding less. write()
       // merges by max version, so repairing with a stale read is harmless.
       for (std::size_t t = 0; t < st.primaries; ++t) {
         const NodeId p = st.cand[t];
         if (!view.node_alive(p)) continue;
-        const auto stored = read_replica(p, st.digest);
-        if (stored && !st.best.newer_than(stored->version)) continue;
-        if (apply_write(p, st.digest, st.best, st.best_value)) {
+        if (write(*st.record, st.digest, p, st.best, st.best_value)) {
           telem.recorder.add(telem.metrics.repair_pushes);
           telem.recorder.add(telem.metrics.repair_bytes,
                              st.best_value.size() + kRecordOverhead);
         }
       }
     }
+    res.value = std::move(st.best_value);
   }
   telem.recorder.set(telem.metrics.keys, key_count());
 }
@@ -314,31 +316,32 @@ Version QuorumStore::install(const failure::FailureView& view,
                              std::string_view key, std::string_view value,
                              NodeId writer) {
   const std::uint64_t digest = dht::key_digest(key);
-  const Version version = next_version(digest, writer);
+  KeyInfo& ki = record(digest);
+  const Version version = issue(ki, digest, writer);
   std::array<NodeId, kMaxReplicas> cand{};
   const std::size_t n = nearest_live(view, point_of(digest), config_.k,
                                      std::span<NodeId>(cand));
   for (std::size_t t = 0; t < n; ++t) {
-    apply_write(cand[t], digest, version, value);
+    write(ki, digest, cand[t], version, value);
   }
-  commit(digest, version);
+  commit(ki, digest, version);
   return version;
 }
 
 void QuorumStore::forget(NodeId node) {
-  std::unordered_map<std::uint64_t, Stored> dropped;
+  std::vector<std::uint64_t> digests;
   {
     std::lock_guard lock(node_mutex_[node_stripe(node)].m);
-    dropped.swap(storage_[node]);
+    digests.swap(held_[node]);
   }
-  for (const auto& [digest, stored] : dropped) {
+  for (const std::uint64_t digest : digests) {
     std::lock_guard lock(key_mutex_[key_stripe(digest)].m);
-    auto& shard = directory_[key_stripe(digest)];
-    const auto it = shard.find(digest);
-    if (it == shard.end()) continue;
-    auto& holders = it->second.holders;
-    holders.erase(std::remove(holders.begin(), holders.end(), node),
-                  holders.end());
+    // Every listed digest has a record: records are never erased.
+    auto& copies = directory_[key_stripe(digest)].find(digest)->second.copies;
+    const auto it = std::find_if(copies.begin(), copies.end(), [node](const Copy& c) {
+      return c.node == node;
+    });
+    if (it != copies.end()) copies.erase(it);
   }
 }
 
@@ -356,7 +359,7 @@ std::size_t QuorumStore::deliver_hints(const failure::FailureView& view,
       keep.push_back(std::move(h));
       continue;
     }
-    apply_write(h.target, h.digest, h.version, h.value);
+    write(record(h.digest), h.digest, h.target, h.version, h.value);
     ++delivered;
     telem.recorder.add(telem.metrics.hints_delivered);
     telem.recorder.add(telem.metrics.repair_bytes,
@@ -372,56 +375,74 @@ std::size_t QuorumStore::deliver_hints(const failure::FailureView& view,
 
 SweepStats QuorumStore::repair_sweep(const failure::FailureView& view,
                                      StoreTelemetry telem) {
+  /// A live primary with no copy at all: filled after the stripe's walk,
+  /// since a first copy takes the node stripe before the key stripe.
+  struct FirstCopy {
+    KeyInfo* ki = nullptr;
+    std::uint64_t digest = 0;
+    NodeId target = 0;
+    Version version;
+    std::string value;
+  };
+  const auto pushed = [&](std::size_t value_bytes) {
+    telem.recorder.add(telem.metrics.repair_pushes);
+    telem.recorder.add(telem.metrics.repair_bytes,
+                       value_bytes + kRecordOverhead);
+  };
   SweepStats stats;
   std::array<NodeId, kMaxReplicas> cand{};
+  std::vector<NodeId> missing;
+  std::vector<FirstCopy> firsts;
   for (std::size_t s = 0; s < kStripes; ++s) {
-    // Snapshot the stripe's committed keys, then work lock-free per key
-    // (replica reads/writes take the node-stripe locks themselves).
-    std::vector<std::pair<std::uint64_t, KeyInfo>> keys;
     {
       std::lock_guard lock(key_mutex_[s].m);
-      keys.reserve(directory_[s].size());
-      for (const auto& [digest, ki] : directory_[s]) {
-        if (ki.committed.seq > 0) keys.emplace_back(digest, ki);
-      }
-    }
-    for (const auto& [digest, ki] : keys) {
-      ++stats.examined;
-      const std::size_t n = nearest_live(view, point_of(digest), config_.k,
-                                         std::span<NodeId>(cand));
-      std::vector<NodeId> missing;
-      for (std::size_t t = 0; t < n; ++t) {
-        const auto stored = read_replica(cand[t], digest);
-        if (!stored || ki.committed.newer_than(stored->version)) {
-          missing.push_back(cand[t]);
+      for (auto& [digest, ki] : directory_[s]) {
+        if (ki.committed.seq == 0) continue;
+        ++stats.examined;
+        const std::size_t n = nearest_live(view, point_of(digest), config_.k,
+                                           std::span<NodeId>(cand));
+        missing.clear();
+        for (std::size_t t = 0; t < n; ++t) {
+          const Copy* c = ki.copy_at(cand[t]);
+          if (c == nullptr || ki.committed.newer_than(c->version)) {
+            missing.push_back(cand[t]);
+          }
         }
-      }
-      if (missing.empty()) continue;
+        if (missing.empty()) continue;
 
-      // Source: any live holder with a version >= the committed one.
-      std::optional<Stored> source;
-      for (const NodeId holder : ki.holders) {
-        if (!view.node_alive(holder)) continue;
-        auto stored = read_replica(holder, digest);
-        if (stored && !ki.committed.newer_than(stored->version)) {
-          source = std::move(stored);
-          break;
+        // Source: the first live copy, in first-copy order, at least as new
+        // as the committed version.
+        const auto source = std::find_if(
+            ki.copies.begin(), ki.copies.end(), [&](const Copy& c) {
+              return view.node_alive(c.node) &&
+                     !ki.committed.newer_than(c.version);
+            });
+        if (source == ki.copies.end()) {
+          ++stats.lost;
+          continue;
         }
-      }
-      if (!source) {
-        ++stats.lost;
-        continue;
-      }
-      ++stats.degraded;
-      for (const NodeId target : missing) {
-        if (apply_write(target, digest, source->version, source->value)) {
-          telem.recorder.add(telem.metrics.repair_pushes);
-          telem.recorder.add(telem.metrics.repair_bytes,
-                             source->value.size() + kRecordOverhead);
+        ++stats.degraded;
+        for (const NodeId target : missing) {
+          // A stale copy is strictly older than the source: overwrite it in
+          // place (no append, so `source` stays valid).
+          if (Copy* c = ki.copy_at(target)) {
+            c->version = source->version;
+            c->value = source->value;
+            pushed(c->value.size());
+          } else {
+            firsts.push_back(
+                FirstCopy{&ki, digest, target, source->version, source->value});
+          }
         }
+        ++stats.repaired;
       }
-      ++stats.repaired;
     }
+    for (const FirstCopy& f : firsts) {
+      if (write(*f.ki, f.digest, f.target, f.version, f.value)) {
+        pushed(f.value.size());
+      }
+    }
+    firsts.clear();
   }
   telem.recorder.set(telem.metrics.degraded_keys, stats.degraded + stats.lost);
   telem.recorder.set(telem.metrics.keys, key_count());
@@ -440,9 +461,14 @@ std::optional<Version> QuorumStore::latest_committed(
 
 std::optional<std::pair<Version, std::string>> QuorumStore::replica(
     NodeId node, std::string_view key) const {
-  const auto stored = read_replica(node, dht::key_digest(key));
-  if (!stored) return std::nullopt;
-  return std::make_pair(stored->version, stored->value);
+  const std::uint64_t digest = dht::key_digest(key);
+  std::lock_guard lock(key_mutex_[key_stripe(digest)].m);
+  const auto& shard = directory_[key_stripe(digest)];
+  const auto it = shard.find(digest);
+  if (it == shard.end()) return std::nullopt;
+  const Copy* c = it->second.copy_at(node);
+  if (c == nullptr) return std::nullopt;
+  return std::make_pair(c->version, c->value);
 }
 
 std::size_t QuorumStore::pending_hints() const {

@@ -31,15 +31,22 @@
 //   5. (read_repair) an ok get pushes the returned version to any live
 //      primary holding an older or missing copy.
 //
-// The directory (per-key issued/committed version counters) models the
-// client-side causal metadata a real deployment carries in its requests; it
-// is bookkeeping, not a replica — losing a node never touches it.
+// Storage layout: one directory record per key holds the key's
+// issued/committed version counters and every node's copy of the key, so a
+// quorum op resolves its record once and reads, writes, commits and repairs
+// through it; a per-node digest list is the work list crash amnesia
+// (forget) walks. The version counters model the client-side causal
+// metadata a real deployment carries in its requests; they are bookkeeping,
+// not a replica — losing a node drops only that node's copies.
 //
 // Concurrency: run_batch may be called from many threads at once (the
 // StoreService stripes one op span across workers, each binding its own
-// pinned-snapshot Router). Replica storage and the directory are
-// stripe-locked (64 node stripes, 64 key stripes, never held together);
-// concurrent writers to the same replica merge by max version, so replicas
+// pinned-snapshot Router). Records live in 64 key stripes and the per-node
+// digest lists in 64 node stripes, each stripe under its own lock. Reading
+// or updating a copy takes the key stripe alone; a node taking its first
+// copy of a key takes its node stripe, then the key stripe (the only nested
+// order), so forget never misses a copy written before it started.
+// Concurrent writers to the same replica merge by max version, so replicas
 // are convergent last-writer-wins registers. With a static view and distinct
 // keys per stripe, per-op results are bit-identical across worker counts
 // (same contract as RoutingService; tests/store_service_test.cpp pins it).
@@ -208,18 +215,33 @@ class QuorumStore {
     std::mutex m;
   };
 
-  struct Stored {
+  /// One node's copy of a key.
+  struct Copy {
+    graph::NodeId node = 0;
     Version version;
     std::string value;
   };
 
+  /// A key's directory record. Records are never erased and unordered_map
+  /// nodes never move, so a KeyInfo& stays valid across lock releases; every
+  /// field access still holds the key-stripe lock.
   struct KeyInfo {
     /// Highest version seq ever issued for the key (>= committed.seq);
     /// concurrent puts to one key get distinct seqs.
     std::uint64_t issued = 0;
     Version committed;
-    /// Nodes holding any version of the key (repair-source index).
-    std::vector<graph::NodeId> holders;
+    /// Every node's copy, in first-copy order (the repair-source order).
+    std::vector<Copy> copies;
+
+    [[nodiscard]] const Copy* copy_at(graph::NodeId node) const noexcept {
+      for (const Copy& c : copies) {
+        if (c.node == node) return &c;
+      }
+      return nullptr;
+    }
+    [[nodiscard]] Copy* copy_at(graph::NodeId node) noexcept {
+      return const_cast<Copy*>(std::as_const(*this).copy_at(node));
+    }
   };
 
   struct Hint {
@@ -229,6 +251,8 @@ class QuorumStore {
     std::string value;
   };
 
+  struct OpState;
+
   [[nodiscard]] static std::size_t node_stripe(graph::NodeId u) noexcept {
     return u % kStripes;
   }
@@ -237,30 +261,37 @@ class QuorumStore {
   }
   [[nodiscard]] metric::Point point_of(std::uint64_t digest) const noexcept;
 
-  /// Stores (version, value) at `node` if newer than what it holds; keeps
-  /// the holders index current. Returns true when the replica changed.
-  bool apply_write(graph::NodeId node, std::uint64_t digest,
-                   const Version& version, std::string_view value);
+  /// The record of `digest`, created empty if absent.
+  KeyInfo& record(std::uint64_t digest);
 
-  /// Issues the next version for `digest` (bumps the per-key issued counter).
-  Version next_version(std::uint64_t digest, graph::NodeId writer);
+  /// The record of `digest`, or nullptr; never creates one.
+  KeyInfo* find_record(std::uint64_t digest);
+
+  /// Issues the next version of the key (bumps its issued counter).
+  Version issue(KeyInfo& ki, std::uint64_t digest, graph::NodeId writer);
+
+  /// Stores (version, value) as `node`'s copy in `ki`, the record of
+  /// `digest`, if newer than what the node holds. Takes the key stripe, or
+  /// the node stripe then the key stripe for a first copy. Returns true when
+  /// the copy changed.
+  bool write(KeyInfo& ki, std::uint64_t digest, graph::NodeId node,
+             const Version& version, std::string_view value);
 
   /// Commits `version` as the key's latest if it is the newest committed.
-  void commit(std::uint64_t digest, const Version& version);
-
-  [[nodiscard]] std::optional<Stored> read_replica(graph::NodeId node,
-                                                   std::uint64_t digest) const;
+  void commit(KeyInfo& ki, std::uint64_t digest, const Version& version);
 
   const graph::OverlayGraph* graph_;
   QuorumConfig config_;
 
-  /// Per-node replica contents, stripe-locked by node id.
-  std::vector<std::unordered_map<std::uint64_t, Stored>> storage_;
-  mutable std::array<PaddedMutex, kStripes> node_mutex_;
-
-  /// Per-key directory shards, stripe-locked by digest.
+  /// Per-key records, stripe-locked by digest.
   std::array<std::unordered_map<std::uint64_t, KeyInfo>, kStripes> directory_;
   mutable std::array<PaddedMutex, kStripes> key_mutex_;
+
+  /// held_[u]: digests of the keys node u holds a copy of (forget's work
+  /// list), stripe-locked by node id. A digest is appended together with
+  /// the copy, under both locks.
+  std::vector<std::vector<std::uint64_t>> held_;
+  std::array<PaddedMutex, kStripes> node_mutex_;
 
   mutable std::mutex hints_mutex_;
   std::vector<Hint> hints_;

@@ -6,7 +6,6 @@
 //  * dead nodes are skipped and selection is a pure function of the view
 //    bits — the same FailureView epoch yields the same set whether reached
 //    by apply() going forward or revert() coming back;
-//  * the pooled torus scan is bit-identical to the serial walk;
 //  * count > alive clamps to the live population.
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "graph/overlay_graph.h"
 #include "store/placement.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace p2p::store {
 namespace {
@@ -87,22 +85,11 @@ TEST(Placement, LineMatchesBruteForce) {
   EXPECT_EQ(replica_set(view, 199, 3), brute_force(view, 199, 3));
 }
 
-TEST(Placement, TorusMatchesBruteForceSerialAndPooled) {
+TEST(Placement, TorusMatchesBruteForce) {
   util::Rng rng(31);
   const auto g = graph::build_kleinberg_overlay(12, 2, 2.0, rng);
   const auto view = FailureView::all_alive(g);
   expect_matches_brute_force(view, 6);
-
-  util::ThreadPool pool(4);
-  std::array<NodeId, kMaxReplicas> serial{};
-  std::array<NodeId, kMaxReplicas> pooled{};
-  for (metric::Point p = 0; p < 144; p += 7) {
-    const std::size_t ns = nearest_live(view, p, 6, std::span<NodeId>(serial));
-    const std::size_t np =
-        nearest_live(view, p, 6, std::span<NodeId>(pooled), pool);
-    ASSERT_EQ(ns, np);
-    for (std::size_t t = 0; t < ns; ++t) EXPECT_EQ(serial[t], pooled[t]);
-  }
 }
 
 TEST(Placement, OwnerPrefixAndGrowingKAppends) {

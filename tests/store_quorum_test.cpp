@@ -8,9 +8,12 @@
 //  * crash amnesia + repair_sweep: a forgotten replica is re-filled from a
 //    surviving holder, and a key with no surviving copy counts as lost;
 //  * install/replica/latest_committed introspection, and run_batch
-//    determinism (same inputs, fresh store -> bit-identical results).
+//    determinism (same inputs, fresh store -> bit-identical results);
+//  * a pinned hash of one long single-worker history (ops, churn with
+//    amnesia, hints, sweeps), so storage-layout changes stay bit-identical.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <string>
 #include <utility>
@@ -378,6 +381,162 @@ TEST(QuorumStore, StaleDetectionAgainstDirectory) {
   EXPECT_EQ(results[0].version, v1);
   EXPECT_EQ(results[0].value, "old");
   EXPECT_TRUE(results[0].stale);
+}
+
+/// FNV-1a over 64-bit words and length-prefixed strings.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void mix(std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void mix(std::string_view s) {
+    mix(s.size());
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void mix(const Version& v) {
+    mix(v.seq);
+    mix(v.writer);
+  }
+};
+
+TEST(QuorumStore, SingleWorkerHistoryHashIsPinned) {
+  // One long single-worker history: skewed get/put batches (some keys are
+  // never installed, so gets miss and puts create them mid-batch), churn
+  // that forgets each node before killing it, hint delivery after every
+  // batch and a periodic anti-entropy sweep. The hash covers every OpResult
+  // field, the hint and key counts, every SweepStats and sampled
+  // replica()/latest_committed() answers. kPinned was computed with the
+  // per-node replica maps, before the one-record-per-key layout replaced
+  // them; any storage change must reproduce it.
+  const auto g = ring_overlay(20'000, 31);
+  auto view = FailureView::all_alive(g);
+  QuorumConfig cfg;
+  cfg.timeout_ms = 60.0;  // long routes time out and fail over
+  QuorumStore store(g, cfg);
+  const core::RouterConfig router_cfg;  // stuck routes end unreachable
+
+  constexpr std::size_t kInstalled = 3000;
+  constexpr std::size_t kKeySpace = 4000;
+  const auto key_of = [](std::uint64_t i) { return "obj-" + std::to_string(i); };
+  // Values of 12..19 chars straddle libstdc++'s 15-char SSO limit.
+  const auto value_of = [](std::uint64_t tag, std::uint64_t len) {
+    std::string v = "v" + std::to_string(tag) + ":";
+    v.resize(len, static_cast<char>('a' + tag % 26));
+    return v;
+  };
+  for (std::uint64_t i = 0; i < kInstalled; ++i) {
+    store.install(view, key_of(i), value_of(i, 12 + i % 8),
+                  static_cast<NodeId>(i % g.size()));
+  }
+
+  util::Rng rng(2024);
+  Fnv1a hash;
+  // The committed version and the copies on the key's 5 nearest live nodes.
+  const auto hash_key = [&](const std::string& key) {
+    const auto committed = store.latest_committed(key);
+    hash.mix(committed.has_value());
+    if (committed) hash.mix(*committed);
+    for (const NodeId u :
+         replica_set(view, dht::point_for_key(key, g.space()), 5)) {
+      const auto rep = store.replica(u, key);
+      hash.mix(rep.has_value());
+      if (rep) {
+        hash.mix(rep->first);
+        hash.mix(rep->second);
+      }
+    }
+  };
+  std::uint64_t tag = kInstalled;
+  std::size_t stale = 0, failovers = 0, misses = 0, lost_sweeps = 0, hints = 0;
+  std::vector<NodeId> dead;
+  for (std::uint64_t batch = 0; batch < 48; ++batch) {
+    std::vector<Op> ops(400);
+    for (Op& op : ops) {
+      const double u = rng.next_double();
+      op.key = key_of(static_cast<std::uint64_t>(u * u * u * kKeySpace));
+      op.client = view.random_alive(rng);
+      if (rng.next_bool(0.35)) {
+        op.type = OpType::kPut;
+        ++tag;
+        op.value = value_of(tag, 12 + rng.next_below(8));
+      }
+    }
+    const core::Router router(g, view, router_cfg);
+    std::vector<OpResult> results(ops.size());
+    store.run_batch(router, ops, results, 9000 + batch);
+    for (const OpResult& res : results) {
+      hash.mix(static_cast<std::uint64_t>(res.ok) |
+               static_cast<std::uint64_t>(res.found) << 1 |
+               static_cast<std::uint64_t>(res.stale) << 2);
+      hash.mix(res.acks);
+      hash.mix(res.responses);
+      hash.mix(res.subqueries);
+      hash.mix(res.failovers);
+      hash.mix(res.hops);
+      hash.mix(std::bit_cast<std::uint64_t>(res.latency_ms));
+      hash.mix(res.version);
+      hash.mix(res.value);
+      stale += res.stale;
+      failovers += res.failovers;
+    }
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      misses += ops[i].type == OpType::kGet && !results[i].found;
+    }
+
+    // Churn: forget-then-kill ~0.4% of nodes plus one run of 12 ring
+    // neighbours (whole replica sets, so some keys lose every copy), then
+    // revive (empty) fewer, so the dead set grows to ~7% of the ring.
+    const auto crash = [&](NodeId u) {
+      store.forget(u);
+      view.kill_node(u);
+      dead.push_back(u);
+    };
+    for (int c = 0; c < 80; ++c) crash(view.random_alive(rng));
+    const std::uint64_t run_start = rng.next_below(g.size());
+    for (std::uint64_t d = 0; d < 12; ++d) {
+      const auto u = static_cast<NodeId>((run_start + d) % g.size());
+      if (view.node_alive(u)) crash(u);
+    }
+    for (int c = 0; c < 60 && !dead.empty(); ++c) {
+      const std::size_t at = rng.next_below(dead.size());
+      view.revive_node(dead[at]);
+      dead[at] = dead.back();
+      dead.pop_back();
+    }
+    const std::size_t delivered = store.deliver_hints(view);
+    hash.mix(delivered);
+    hints += delivered;
+    if (batch % 6 == 5) {
+      const SweepStats sweep = store.repair_sweep(view);
+      hash.mix(sweep.examined);
+      hash.mix(sweep.degraded);
+      hash.mix(sweep.repaired);
+      hash.mix(sweep.lost);
+      lost_sweeps += sweep.lost > 0;
+      // Every key after a sweep: which copy a sweep sources from shows up
+      // here before later repairs converge it away.
+      for (std::uint64_t k = 0; k < kKeySpace; ++k) hash_key(key_of(k));
+    }
+    hash.mix(store.pending_hints());
+    hash.mix(store.key_count());
+
+    for (int s = 0; s < 24; ++s) hash_key(key_of(rng.next_below(kKeySpace)));
+  }
+
+  // The history must reach every path the hash is meant to pin.
+  EXPECT_GT(stale, 0u);
+  EXPECT_GT(failovers, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(lost_sweeps, 0u);
+  EXPECT_GT(hints, 0u);
+  constexpr std::uint64_t kPinned = 0xebdec7c28eacb367ULL;
+  EXPECT_EQ(hash.h, kPinned) << std::hex << hash.h;
 }
 
 }  // namespace

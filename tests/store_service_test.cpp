@@ -6,21 +6,28 @@
 //  * a live churn writer publishing mid-run: every op still completes, every
 //    executed stripe observed an exactly-published epoch, and the store's
 //    stripe locks hold up under ThreadSanitizer;
+//  * hot keys shared by every worker while a second thread runs forget,
+//    deliver_hints and repair_sweep: values never tear or cross keys, ok
+//    puts never outrun the committed version, and forget leaves no copy;
 //  * request_stop() before run_all drains to zero completed ops;
 //  * constructor validation (graph mismatch, zero stripe).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "churn/churn_log.h"
 #include "churn/trace_gen.h"
+#include "dht/hash.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
 #include "service/store_service.h"
 #include "service/view_publisher.h"
+#include "store/placement.h"
 #include "store/quorum_store.h"
 #include "util/rng.h"
 
@@ -155,6 +162,116 @@ TEST(StoreService, RunsUnderLiveChurnWriter) {
   // Quorum ops under churn may fail; completed results must still be sane.
   for (std::size_t i = 0; i < ops.size(); ++i) {
     EXPECT_GE(results[i].subqueries, 1u) << i;
+  }
+}
+
+TEST(StoreService, HotKeysUnderConcurrentUpkeep) {
+  // Zipf-shared keys, so every worker writes the same few records, while an
+  // upkeep thread makes random live nodes forget their copies (taking the
+  // node stripe, then each key stripe) and delivers hints and sweeps (first
+  // copies take node then key stripe). A short timeout makes sub-queries
+  // fail over, so hints are stored and delivered during the run.
+  const auto g = ring_overlay(512);
+  const FailureView view = FailureView::all_alive(g);
+  ViewPublisher pub(view);
+  store::QuorumConfig qcfg;
+  qcfg.timeout_ms = 12.0;
+  store::QuorumStore store(g, qcfg);
+
+  constexpr std::size_t kKeys = 16;
+  const auto key_of = [](std::size_t i) { return "hot-" + std::to_string(i); };
+  // A value names its key, so a torn or misplaced value fails verifies().
+  const auto value_of = [](const std::string& key, std::size_t tag) {
+    return key + "=" + std::to_string(tag) + "-padding-past-sso";
+  };
+  const auto verifies = [](const std::string& key, const std::string& value) {
+    return value.starts_with(key + "=") && value.ends_with("-padding-past-sso");
+  };
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    store.install(view, key_of(i), value_of(key_of(i), 0));
+  }
+
+  // Zipf(0.99) over the keys by inverse CDF.
+  std::vector<double> cdf(kKeys);
+  double total = 0.0;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i + 1), 0.99);
+    cdf[i] = total;
+  }
+  util::Rng rng(404);
+  std::vector<store::Op> ops(2048);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const double u = rng.next_double() * total;
+    const auto rank = static_cast<std::size_t>(
+        std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    store::Op& op = ops[i];
+    op.key = key_of(std::min(rank, kKeys - 1));
+    op.client = view.random_alive(rng);
+    if (rng.next_bool(0.3)) {
+      op.type = store::OpType::kPut;
+      op.value = value_of(op.key, i + 1);
+    }
+  }
+
+  StoreServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.stripe = 4;
+  StoreService svc(pub, store, cfg);
+  std::vector<store::OpResult> results(ops.size());
+  std::atomic<bool> done{false};
+  std::thread upkeep([&] {
+    util::Rng upkeep_rng(405);
+    do {
+      for (int f = 0; f < 4; ++f) store.forget(view.random_alive(upkeep_rng));
+      store.deliver_hints(view);
+      store.repair_sweep(view);
+    } while (!done.load());
+  });
+  const StoreServiceStats stats = svc.run_all(ops, results);
+  done.store(true);
+  upkeep.join();
+
+  EXPECT_EQ(stats.completed, ops.size());
+  std::size_t failovers = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const store::OpResult& res = results[i];
+    failovers += res.failovers;
+    if (ops[i].type == store::OpType::kGet) {
+      if (res.found) {
+        EXPECT_TRUE(verifies(ops[i].key, res.value)) << i << ": " << res.value;
+      }
+    } else if (res.ok) {
+      const auto committed = store.latest_committed(ops[i].key);
+      ASSERT_TRUE(committed.has_value()) << i;
+      EXPECT_FALSE(res.version.newer_than(*committed)) << i;
+    }
+  }
+  EXPECT_GT(failovers, 0u);
+
+  // Quiesced: forget(u) drops every copy u holds, and a later install puts
+  // u back exactly where it is one of the key's primaries.
+  for (NodeId u = 0; u < g.size(); ++u) {
+    store.forget(u);
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      EXPECT_FALSE(store.replica(u, key_of(i)).has_value()) << u << " " << i;
+    }
+  }
+  EXPECT_EQ(store.repair_sweep(view).lost, kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const std::string key = key_of(i);
+    const store::Version v = store.install(view, key, value_of(key, 9999));
+    const auto primaries = store::replica_set(
+        view, dht::point_for_key(key, g.space()), qcfg.k);
+    for (NodeId u = 0; u < g.size(); ++u) {
+      const auto rep = store.replica(u, key);
+      const bool primary =
+          std::find(primaries.begin(), primaries.end(), u) != primaries.end();
+      ASSERT_EQ(rep.has_value(), primary) << key << " at " << u;
+      if (rep) {
+        EXPECT_EQ(rep->first, v);
+        EXPECT_EQ(rep->second, value_of(key, 9999));
+      }
+    }
   }
 }
 
