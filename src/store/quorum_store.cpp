@@ -18,13 +18,17 @@ constexpr std::size_t kRecordOverhead = 16;
 /// In-flight replica sub-query of one wave.
 struct SubQuery {
   std::uint32_t op = 0;
+  /// Where the route starts: the op's client, or the primary for a forward.
+  NodeId from = 0;
   NodeId replica = 0;
   /// The failed primary this standby stands in for (hinted handoff), or
   /// kInvalidNode for a primary attempt.
   NodeId hint_for = graph::kInvalidNode;
-  /// Virtual launch time within the op (failovers start after the failed
-  /// attempt's completion plus backoff).
+  /// Virtual launch time within the op (forwards start when the head
+  /// lands; retries and failovers after the failed attempt plus backoff).
   double launch_ms = 0.0;
+  /// The op's one route from its client to the primary, cand[0].
+  bool head = false;
 };
 
 }  // namespace
@@ -38,6 +42,9 @@ struct QuorumStore::OpState {
   std::span<NodeId> cand;
   std::size_t cand_count = 0;
   std::size_t primaries = 0;
+  /// First-wave replicas: k for a put, R for a get (fewer if placement
+  /// found fewer live nodes).
+  std::size_t fanout = 0;
   std::size_t next_standby = 0;
   std::uint64_t digest = 0;
   Version put_version;
@@ -157,14 +164,21 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
     } else {
       st.record = find_record(st.digest);
     }
-    const std::size_t fanout = op.type == OpType::kPut
-                                   ? st.primaries
-                                   : std::min(config_.r, st.primaries);
-    for (std::size_t t = 0; t < fanout; ++t) {
-      inflight.push_back(SubQuery{static_cast<std::uint32_t>(i), st.cand[t],
-                                  graph::kInvalidNode, 0.0});
+    st.fanout = op.type == OpType::kPut ? st.primaries
+                                        : std::min(config_.r, st.primaries);
+    if (st.fanout > 0) {
+      inflight.push_back(SubQuery{static_cast<std::uint32_t>(i), op.client,
+                                  st.cand[0], graph::kInvalidNode, 0.0, true});
     }
   }
+  // Queues cand[1..fanout) of op `i`, routed from `from`.
+  const auto fan_out = [&](std::uint32_t i, NodeId from, double launch_ms) {
+    const OpState& st = states[i];
+    for (std::size_t t = 1; t < st.fanout; ++t) {
+      next.push_back(SubQuery{i, from, st.cand[t], graph::kInvalidNode,
+                              launch_ms, false});
+    }
+  };
 
   std::vector<core::Query> queries;
   std::vector<core::RouteResult> rres;
@@ -173,8 +187,7 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
     queries.clear();
     queries.reserve(inflight.size());
     for (const SubQuery& sq : inflight) {
-      queries.push_back(core::Query{ops[sq.op].client,
-                                    graph_->position(sq.replica)});
+      queries.push_back(core::Query{sq.from, graph_->position(sq.replica)});
     }
     rres.assign(inflight.size(), core::RouteResult{});
     util::Rng wave_rng = util::substream(seed_base, wave);
@@ -185,8 +198,11 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
       const SubQuery& sq = inflight[j];
       const Op& op = ops[sq.op];
       OpState& st = states[sq.op];
+      // A forward from a client that is itself the primary is client-routed.
+      const bool forward = sq.from != op.client;
       ++st.subqueries;
       telem.recorder.add(telem.metrics.subqueries);
+      if (forward) telem.recorder.add(telem.metrics.forwards);
       st.hops += rres[j].hops;
 
       bool success = false;
@@ -209,6 +225,7 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
       st.latency_ms = std::max(st.latency_ms, done_ms);
 
       if (success) {
+        if (sq.head) fan_out(sq.op, sq.replica, done_ms);
         if (op.type == OpType::kPut) {
           write(*st.record, st.digest, sq.replica, st.put_version, op.value);
           ++st.acks;
@@ -234,16 +251,30 @@ void QuorumStore::run_batch(const core::Router& router, std::span<const Op> ops,
             }
           }
         }
-      } else if (!st.quorum && st.next_standby < st.cand_count) {
-        // Failover: promote the next standby, inheriting the hint target of
-        // the primary this attempt chain started from.
-        const NodeId standby = st.cand[st.next_standby++];
-        const NodeId hint_for =
-            sq.hint_for != graph::kInvalidNode ? sq.hint_for : sq.replica;
-        ++st.failovers;
-        telem.recorder.add(telem.metrics.failovers);
-        next.push_back(
-            SubQuery{sq.op, standby, hint_for, done_ms + config_.backoff_ms});
+      } else if (forward) {
+        // A lost forward usually died at a gap next to its replica, where
+        // the primary has no other link closer to it; the client's route
+        // arrives from elsewhere, so it retries the same replica. No
+        // standby, no hint.
+        telem.recorder.add(telem.metrics.forward_retries);
+        next.push_back(SubQuery{sq.op, op.client, sq.replica,
+                                graph::kInvalidNode,
+                                done_ms + config_.backoff_ms, false});
+      } else {
+        // A lost head never reached the primary: the client fans out itself.
+        if (sq.head) fan_out(sq.op, op.client, done_ms + config_.backoff_ms);
+        if (!st.quorum && st.next_standby < st.cand_count) {
+          // Failover: promote the next standby, routed from the client and
+          // inheriting the hint target of the primary this attempt chain
+          // started from.
+          const NodeId standby = st.cand[st.next_standby++];
+          const NodeId hint_for =
+              sq.hint_for != graph::kInvalidNode ? sq.hint_for : sq.replica;
+          ++st.failovers;
+          telem.recorder.add(telem.metrics.failovers);
+          next.push_back(SubQuery{sq.op, op.client, standby, hint_for,
+                                  done_ms + config_.backoff_ms, false});
+        }
       }
     }
     inflight.swap(next);

@@ -18,13 +18,24 @@
 //
 // Quorum state machine, per operation:
 //   1. placement: cand = the (k + max_failovers) nearest live nodes; the
-//      first k are primaries, the rest standbys.
-//   2. wave 0: a put routes to all k primaries, a get to the first R.
-//   3. each failed sub-query (routing stuck/TTL, or latency > timeout) fails
-//      over to the next unused standby with backoff_ms added — a sloppy
-//      quorum: a standby ack counts toward W, and (hinted_handoff) the write
-//      is remembered as a hint against the failed primary, delivered when
-//      deliver_hints() sees the primary alive again.
+//      first k are primaries, the rest standbys. The first wave is k
+//      replicas for a put, R for a get.
+//   2. route once, then forward: wave 0 routes one head sub-query from the
+//      client to cand[0]. Once it lands (write or read there), cand[0]
+//      forwards to the rest of the first wave, each forward a routed
+//      sub-query launched at the head's completion, so its hops and latency
+//      add to the op's. If the head is lost, the client routes to the rest
+//      of the first wave itself (after backoff_ms) and the head fails over
+//      as in 3. A forward that is lost promotes no standby: the client
+//      retries the same replica after backoff_ms, with no hint — the gap
+//      that stopped it sits next to the replica, where the primary has no
+//      other link closer to it, while the client arrives from elsewhere.
+//   3. each failed client-routed sub-query (routing stuck/TTL, or latency >
+//      timeout) fails over to the next unused standby, routed from the
+//      client with backoff_ms added — a sloppy quorum: a standby ack counts
+//      toward W, and (hinted_handoff) the write is remembered as a hint
+//      against the failed primary, delivered when deliver_hints() sees the
+//      primary alive again.
 //   4. a put is ok at acks >= W (the version is then committed in the
 //      directory); a get is ok at responses >= R, returning the max version
 //      observed (per-key monotonic seq, writer id as tiebreak).
@@ -109,8 +120,8 @@ struct QuorumConfig {
 
 enum class OpType : std::uint8_t { kGet, kPut };
 
-/// One client operation: `client` is the coordinating node sub-queries route
-/// from.
+/// One client operation: `client` is the coordinating node the op's head
+/// sub-query, retries and failovers route from.
 struct Op {
   OpType type = OpType::kGet;
   graph::NodeId client = 0;

@@ -21,9 +21,12 @@ namespace p2p::store {
 ///   store.put_quorum_fail             puts that ended with acks < W
 ///   store.get_quorum_fail             gets that ended with responses < R
 ///   store.subqueries                  routed replica sub-queries issued
+///   store.forwards                    sub-queries routed from the primary
+///   store.forward_retries             undelivered forwards the client retried
 ///   store.failovers                   standby replicas promoted mid-op
 ///   store.timeouts                    sub-queries lost to latency > timeout
 ///   store.unreachable                 sub-queries lost to routing failure
+///                                     (forwards included)
 ///   store.stale_reads                 gets that observed < latest committed
 ///   store.not_found                   gets for keys with no surviving value
 ///   store.repair_pushes/.repair_bytes read-repair + sweep traffic
@@ -36,6 +39,8 @@ struct StoreMetrics {
   telemetry::Counter put_quorum_fail;
   telemetry::Counter get_quorum_fail;
   telemetry::Counter subqueries;
+  telemetry::Counter forwards;
+  telemetry::Counter forward_retries;
   telemetry::Counter failovers;
   telemetry::Counter timeouts;
   telemetry::Counter unreachable;
@@ -59,6 +64,8 @@ struct StoreMetrics {
     m.put_quorum_fail = reg.counter(prefix + ".put_quorum_fail");
     m.get_quorum_fail = reg.counter(prefix + ".get_quorum_fail");
     m.subqueries = reg.counter(prefix + ".subqueries");
+    m.forwards = reg.counter(prefix + ".forwards");
+    m.forward_retries = reg.counter(prefix + ".forward_retries");
     m.failovers = reg.counter(prefix + ".failovers");
     m.timeouts = reg.counter(prefix + ".timeouts");
     m.unreachable = reg.counter(prefix + ".unreachable");

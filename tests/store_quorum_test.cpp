@@ -9,6 +9,10 @@
 //    surviving holder, and a key with no surviving copy counts as lost;
 //  * install/replica/latest_committed introspection, and run_batch
 //    determinism (same inputs, fresh store -> bit-identical results);
+//  * route once, then forward: an op's hops are its client -> primary route
+//    plus one primary -> replica forward per other first-wave replica, and a
+//    forward that does not arrive is retried from the client without a
+//    failover or a hint;
 //  * a pinned hash of one long single-worker history (ops, churn with
 //    amnesia, hints, sweeps), so storage-layout changes stay bit-identical.
 #include <gtest/gtest.h>
@@ -25,6 +29,8 @@
 #include "graph/graph_builder.h"
 #include "store/placement.h"
 #include "store/quorum_store.h"
+#include "store/store_telemetry.h"
+#include "telemetry/metric_registry.h"
 #include "util/rng.h"
 
 namespace p2p::store {
@@ -56,6 +62,20 @@ std::vector<OpResult> run(QuorumStore& store, const FailureView& view,
   store.run_batch(router, ops, results, seed);
   return results;
 }
+
+/// A single-shard registry with the store metrics on it.
+struct StoreRegistry {
+  telemetry::Registry reg{1};
+  StoreTelemetry telem;
+  StoreRegistry() {
+    telem.metrics = StoreMetrics::create(reg);
+    reg.seal();
+    telem.recorder = reg.recorder(0);
+  }
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    return reg.snapshot().counter_or(name);
+  }
+};
 
 TEST(QuorumStore, ConfigValidation) {
   const auto g = ring_overlay(32);
@@ -383,6 +403,130 @@ TEST(QuorumStore, StaleDetectionAgainstDirectory) {
   EXPECT_TRUE(results[0].stale);
 }
 
+TEST(QuorumStore, RouteOnceThenForwardHops) {
+  // Each op routes once, client -> cand[0]; the primary then forwards to the
+  // rest of the first wave. kBacktrack draws no randomness, so Router::route
+  // reproduces every sub-query's hops.
+  const auto g = ring_overlay(4096);
+  const auto view = FailureView::all_alive(g);
+  QuorumStore store(g);  // k=3, R=2
+  const core::Router router(g, view, robust_router());
+  util::Rng rng(8);
+  std::vector<Op> ops;
+  for (int i = 0; i < 32; ++i) {
+    Op op;
+    op.type = i % 2 == 0 ? OpType::kPut : OpType::kGet;
+    op.key = "fwd-" + std::to_string(i / 2);
+    op.value = "v" + std::to_string(i);
+    const NodeId primary =
+        replica_set(view, dht::point_for_key(op.key, g.space()), 1)[0];
+    do op.client = view.random_alive(rng);
+    while (op.client == primary);
+    ops.push_back(op);
+  }
+  StoreRegistry sink;
+  std::vector<OpResult> results(ops.size());
+  store.run_batch(router, ops, results, 21, sink.telem);
+
+  const auto hops = [&](NodeId from, NodeId to) {
+    util::Rng unused(0);
+    const core::RouteResult r = router.route(from, g.position(to), unused);
+    EXPECT_TRUE(r.delivered()) << from << " -> " << to;
+    return r.hops;
+  };
+  std::uint64_t forwards = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    const std::size_t fanout =
+        op.type == OpType::kPut ? store.config().k : store.config().r;
+    const auto cand = replica_set(
+        view, dht::point_for_key(op.key, g.space()), fanout);
+    std::uint64_t want = hops(op.client, cand[0]);
+    for (std::size_t t = 1; t < fanout; ++t) want += hops(cand[0], cand[t]);
+    ASSERT_TRUE(results[i].ok) << i;
+    EXPECT_EQ(results[i].hops, want) << i;
+    EXPECT_EQ(results[i].subqueries, fanout) << i;
+    EXPECT_EQ(results[i].failovers, 0u) << i;
+    forwards += fanout - 1;
+  }
+  // One client-routed head per op; everything else came from a primary.
+  EXPECT_EQ(sink.counter("store.forwards"), forwards);
+  EXPECT_EQ(sink.counter("store.forwards") + ops.size(),
+            sink.counter("store.subqueries"));
+  EXPECT_EQ(sink.counter("store.forward_retries"), 0u);
+}
+
+TEST(QuorumStore, UndeliveredForwardRetriesFromClient) {
+  // Kill the primary's left ring neighbour. The replica just past that gap
+  // is two positions from the primary, and usually no live link of the
+  // primary's is closer to it, so the forward is stuck. The test takes the
+  // first key where exactly that forward is stuck while the client's routes
+  // arrive: the client retries the replica, no standby is promoted, no hint
+  // is left, and the replica holds the write.
+  const auto g = ring_overlay(512);
+  const core::RouterConfig router_cfg = robust_router();
+  const auto reaches = [&](const FailureView& view, NodeId from, NodeId to) {
+    util::Rng unused(0);
+    return core::Router(g, view, router_cfg)
+        .route(from, g.position(to), unused)
+        .delivered();
+  };
+  util::Rng rng(4);
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    const std::string key = "gap-" + std::to_string(attempt);
+    const metric::Point point = dht::point_for_key(key, g.space());
+    auto view = FailureView::all_alive(g);
+    const NodeId primary = replica_set(view, point, 1)[0];
+    const metric::Point left =
+        (g.position(primary) + g.space().size() - 1) % g.space().size();
+    view.kill_node(g.node_at(left));
+    const auto cand = replica_set(view, point, 3);
+    if (cand[0] != primary) continue;
+    const NodeId client = view.random_alive(rng);
+    // Exactly one forward must die, and every client route must arrive.
+    std::size_t stuck = 0, gap_replica = 0;
+    for (std::size_t t = 1; t < cand.size(); ++t) {
+      if (!reaches(view, primary, cand[t])) {
+        ++stuck;
+        gap_replica = t;
+      }
+    }
+    if (stuck != 1 || client == primary || !reaches(view, client, primary) ||
+        !reaches(view, client, cand[gap_replica])) {
+      continue;
+    }
+
+    QuorumStore store(g);
+    StoreRegistry sink;
+    Op put;
+    put.type = OpType::kPut;
+    put.client = client;
+    put.key = key;
+    put.value = "across";
+    std::vector<OpResult> results(1);
+    store.run_batch(core::Router(g, view, router_cfg),
+                    std::span<const Op>(&put, 1), results, 5, sink.telem);
+    const OpResult& res = results[0];
+    EXPECT_TRUE(res.ok);
+    EXPECT_EQ(res.acks, 3u);
+    EXPECT_EQ(res.failovers, 0u);
+    EXPECT_EQ(store.pending_hints(), 0u);
+    // Client-routed: the head and one retry of the lost forward's replica.
+    EXPECT_EQ(res.subqueries, 4u);
+    EXPECT_EQ(sink.counter("store.subqueries"), 4u);
+    EXPECT_EQ(sink.counter("store.forwards"), 2u);
+    EXPECT_EQ(sink.counter("store.forward_retries"), 1u);
+    EXPECT_EQ(sink.counter("store.unreachable"), 1u);
+    EXPECT_EQ(sink.counter("store.failovers"), 0u);
+    const auto rep = store.replica(cand[gap_replica], key);
+    ASSERT_TRUE(rep.has_value());
+    EXPECT_EQ(rep->first, res.version);
+    EXPECT_EQ(rep->second, "across");
+    return;
+  }
+  FAIL() << "no key put a gap between its primary and a replica";
+}
+
 /// FNV-1a over 64-bit words and length-prefixed strings.
 struct Fnv1a {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -411,15 +555,16 @@ TEST(QuorumStore, SingleWorkerHistoryHashIsPinned) {
   // that forgets each node before killing it, hint delivery after every
   // batch and a periodic anti-entropy sweep. The hash covers every OpResult
   // field, the hint and key counts, every SweepStats and sampled
-  // replica()/latest_committed() answers. kPinned was computed with the
-  // per-node replica maps, before the one-record-per-key layout replaced
-  // them; any storage change must reproduce it.
+  // replica()/latest_committed() answers. kPinned was computed when ops
+  // began routing once to the primary and forwarding from there; a storage
+  // change must reproduce it.
   const auto g = ring_overlay(20'000, 31);
   auto view = FailureView::all_alive(g);
   QuorumConfig cfg;
   cfg.timeout_ms = 60.0;  // long routes time out and fail over
   QuorumStore store(g, cfg);
   const core::RouterConfig router_cfg;  // stuck routes end unreachable
+  StoreRegistry sink;
 
   constexpr std::size_t kInstalled = 3000;
   constexpr std::size_t kKeySpace = 4000;
@@ -454,6 +599,7 @@ TEST(QuorumStore, SingleWorkerHistoryHashIsPinned) {
   };
   std::uint64_t tag = kInstalled;
   std::size_t stale = 0, failovers = 0, misses = 0, lost_sweeps = 0, hints = 0;
+  std::uint64_t full_forwards = 0;  // forwards if every head arrived
   std::vector<NodeId> dead;
   for (std::uint64_t batch = 0; batch < 48; ++batch) {
     std::vector<Op> ops(400);
@@ -469,7 +615,7 @@ TEST(QuorumStore, SingleWorkerHistoryHashIsPinned) {
     }
     const core::Router router(g, view, router_cfg);
     std::vector<OpResult> results(ops.size());
-    store.run_batch(router, ops, results, 9000 + batch);
+    store.run_batch(router, ops, results, 9000 + batch, sink.telem);
     for (const OpResult& res : results) {
       hash.mix(static_cast<std::uint64_t>(res.ok) |
                static_cast<std::uint64_t>(res.found) << 1 |
@@ -487,6 +633,8 @@ TEST(QuorumStore, SingleWorkerHistoryHashIsPinned) {
     }
     for (std::size_t i = 0; i < ops.size(); ++i) {
       misses += ops[i].type == OpType::kGet && !results[i].found;
+      full_forwards +=
+          (ops[i].type == OpType::kPut ? cfg.k : cfg.r) - 1;
     }
 
     // Churn: forget-then-kill ~0.4% of nodes plus one run of 12 ring
@@ -535,7 +683,11 @@ TEST(QuorumStore, SingleWorkerHistoryHashIsPinned) {
   EXPECT_GT(misses, 0u);
   EXPECT_GT(lost_sweeps, 0u);
   EXPECT_GT(hints, 0u);
-  constexpr std::uint64_t kPinned = 0xebdec7c28eacb367ULL;
+  // A head that did not arrive sends no forwards; a forward that did not
+  // arrive is retried from the client.
+  EXPECT_LT(sink.counter("store.forwards"), full_forwards);
+  EXPECT_GT(sink.counter("store.forward_retries"), 0u);
+  constexpr std::uint64_t kPinned = 0x35657549f6a4686cULL;
   EXPECT_EQ(hash.h, kPinned) << std::hex << hash.h;
 }
 
