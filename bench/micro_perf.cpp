@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): costs of the hot operations — link
-// sampling, route steps, batch-pipelined routing, graph construction,
-// heuristic joins, DHT ops.
+// sampling, route steps, batch-pipelined routing, graph construction and
+// heuristic joins.
 //
 // The custom main() first records the headline throughput numbers to
 // BENCH_micro.json (scalar and batch routes/sec over the frozen CSR graph,
@@ -15,14 +15,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/construction.h"
 #include "core/route_telemetry.h"
 #include "core/router.h"
-#include "dht/dht.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
 #include "graph/link_distribution.h"
@@ -165,26 +163,6 @@ void BM_HeuristicJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeuristicJoin);
-
-void BM_DhtPutGet(benchmark::State& state) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 8;
-  cfg.replication = 3;
-  dht::Dht store(metric::Space1D::ring(1 << 12), cfg, 8);
-  for (metric::Point p = 0; p < (1 << 12); p += 8) store.add_node(p);
-  util::Rng rng(9);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    const std::string key = "key-" + std::to_string(i % 512);
-    if (i % 2 == 0) {
-      benchmark::DoNotOptimize(store.put(0, key, "value"));
-    } else {
-      benchmark::DoNotOptimize(store.get(0, key));
-    }
-    ++i;
-  }
-}
-BENCHMARK(BM_DhtPutGet);
 
 // ---------------------------------------------------------------------------
 // Headline JSON trajectory (BENCH_micro.json)

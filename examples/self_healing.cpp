@@ -122,7 +122,8 @@ int main() {
       }
     }
     // Lazy self-repair at epoch end (amortized over traffic in a real
-    // deployment; see dht::Dht for the per-route version).
+    // deployment; DynamicOverlay::repair_node is the per-node version a
+    // routing node runs when a search finds the damage).
     const std::size_t dangling = overlay.dangling_count();
     const std::size_t repaired = overlay.repair(rng);
     repaired_total += repaired;

@@ -29,16 +29,9 @@ void keep_net_changes(std::vector<T>& batch, Differs differs, Flip flip) {
 ChurnLog::ChurnLog(const failure::FailureView& baseline)
     : baseline_(baseline),
       committed_(baseline),
-      shadow_(baseline),
-      graph_generation_(baseline.graph().structural_generation()) {
+      shadow_(baseline) {
   util::require(baseline.epoch() == 0,
                 "ChurnLog: baseline must be an epoch-0 view");
-}
-
-void ChurnLog::check_generation() const {
-  util::require(graph().structural_generation() == graph_generation_,
-                "ChurnLog: graph changed structurally; the log's link slots "
-                "are stale");
 }
 
 void ChurnLog::kill_node(graph::NodeId u) {
@@ -71,7 +64,6 @@ void ChurnLog::revive_node(graph::NodeId u) {
 }
 
 void ChurnLog::kill_link(graph::NodeId u, std::size_t link_index) {
-  check_generation();
   util::require_in_range(u < graph().size(),
                          "ChurnLog::kill_link: node out of range");
   util::require_in_range(link_index < graph().out_degree(u),
@@ -89,7 +81,6 @@ void ChurnLog::kill_link(graph::NodeId u, std::size_t link_index) {
 }
 
 void ChurnLog::revive_link(graph::NodeId u, std::size_t link_index) {
-  check_generation();
   util::require_in_range(u < graph().size(),
                          "ChurnLog::revive_link: node out of range");
   util::require_in_range(link_index < graph().out_degree(u),
@@ -146,7 +137,6 @@ std::size_t ChurnLog::commit(double when) {
 }
 
 void ChurnLog::seek(failure::FailureView& view, std::uint64_t target_epoch) const {
-  check_generation();
   util::require(&view.graph() == &graph(),
                 "ChurnLog::seek: view belongs to a different graph");
   util::require(target_epoch <= deltas_.size(),
@@ -158,7 +148,6 @@ void ChurnLog::seek(failure::FailureView& view, std::uint64_t target_epoch) cons
 }
 
 failure::FailureView ChurnLog::materialize(std::uint64_t epoch) const {
-  check_generation();
   util::require(epoch <= deltas_.size(),
                 "ChurnLog::materialize: epoch beyond the log");
   failure::FailureView view = baseline_;

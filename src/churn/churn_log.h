@@ -6,7 +6,9 @@
 // thousands of kill/revive batches — replayed over one built network. A
 // ChurnLog records that trace as a sequence of failure::FailureDelta batches,
 // one per epoch: epoch e is the liveness state after applying deltas
-// [0, e) to the baseline, so valid epochs run 0..size().
+// [0, e) to the baseline, so valid epochs run 0..size(). Deltas key links
+// by flat CSR slot, which stays valid for the log's life: the graph is
+// immutable once built.
 //
 // Recording normalizes: staged changes that are no-ops against the running
 // shadow state (killing the dead, reviving the living) are dropped at stage
@@ -111,10 +113,6 @@ class ChurnLog {
   [[nodiscard]] failure::FailureView materialize(std::uint64_t epoch) const;
 
  private:
-  /// Link slots recorded in deltas are keyed to the graph layout at log
-  /// construction; throws if the graph has structurally changed since.
-  void check_generation() const;
-
   failure::FailureView baseline_;
   /// State after every committed delta (advanced by apply at each commit).
   /// A bit that differs between committed_ and shadow_ is staged in the
@@ -130,7 +128,6 @@ class ChurnLog {
   std::size_t staged_net_ = 0;
   std::vector<FailureDelta> deltas_;
   std::size_t total_changes_ = 0;
-  std::uint64_t graph_generation_ = 0;
 };
 
 }  // namespace p2p::churn

@@ -18,10 +18,15 @@ std::uint64_t key_digest(std::string_view key) noexcept {
   return util::splitmix64(fnv1a64(key));
 }
 
+namespace {
+
+/// Grid point a key hashes to in a space of `grid_size` points.
 metric::Point point_for_key(std::string_view key, std::uint64_t grid_size) {
   util::require(grid_size >= 1, "point_for_key: grid_size must be >= 1");
   return static_cast<metric::Point>(key_digest(key) % grid_size);
 }
+
+}  // namespace
 
 metric::Point point_for_key(std::string_view key, const metric::Space& space) {
   return point_for_key(key, space.size());

@@ -109,42 +109,33 @@ std::size_t side_neighbors(std::size_t n, bool ring, NodeId u, NodeId* out) {
   return k;
 }
 
-/// Shared short-link wiring over anything with size/space/add_short_link. A
-/// 1-D notion; the torus wires its lattice in build_kleinberg_overlay.
-template <typename GraphLike>
-void wire_short_links_impl(GraphLike& g) {
-  util::require(g.space().one_dimensional(),
+}  // namespace
+
+void GraphBuilder::wire_short_links() {
+  // A 1-D notion; the torus wires its lattice in build_kleinberg_overlay.
+  util::require(space_.one_dimensional(),
                 "wire_short_links: side neighbours are only defined on a "
                 "one-dimensional space (use build_kleinberg_overlay for the "
                 "torus lattice)");
-  const std::size_t n = g.size();
-  const bool ring = g.space().kind() == metric::Space::Kind::kRing;
+  const std::size_t n = size();
+  const bool ring = space_.kind() == metric::Space::Kind::kRing;
   NodeId shorts[2];
   for (NodeId u = 0; u < n; ++u) {
     const std::size_t k = side_neighbors(n, ring, u, shorts);
-    for (std::size_t i = 0; i < k; ++i) g.add_short_link(u, shorts[i]);
+    for (std::size_t i = 0; i < k; ++i) add_short_link(u, shorts[i]);
   }
 }
-
-template <typename GraphLike>
-void make_bidirectional_impl(GraphLike& g, std::vector<NodeId>& scratch) {
-  for (NodeId u = 0; u < g.size(); ++u) {
-    // Snapshot u's current long neighbours before mutating anything.
-    const auto longs = g.long_neighbors(u);
-    scratch.assign(longs.begin(), longs.end());
-    for (const NodeId v : scratch) {
-      if (!g.has_link(v, u)) g.add_long_link(v, u);
-    }
-  }
-}
-
-}  // namespace
-
-void GraphBuilder::wire_short_links() { wire_short_links_impl(*this); }
 
 void GraphBuilder::make_bidirectional() {
   std::vector<NodeId> scratch;
-  make_bidirectional_impl(*this, scratch);
+  for (NodeId u = 0; u < size(); ++u) {
+    // Snapshot u's current long neighbours before mutating anything.
+    const auto longs = long_neighbors(u);
+    scratch.assign(longs.begin(), longs.end());
+    for (const NodeId v : scratch) {
+      if (!has_link(v, u)) add_long_link(v, u);
+    }
+  }
 }
 
 OverlayGraph GraphBuilder::freeze(FreezeOptions opts) {
@@ -186,13 +177,6 @@ OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, FreezeOptions opt
   link_count_ = 0;
   return detail::freeze_csr(space_, std::move(positions), std::move(slice_sizes),
                             std::move(short_degree), std::move(edges), opts, pool);
-}
-
-void wire_short_links(OverlayGraph& g) { wire_short_links_impl(g); }
-
-void make_bidirectional(OverlayGraph& g) {
-  std::vector<NodeId> scratch;
-  make_bidirectional_impl(g, scratch);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@
 // short, forward and reverse links, lay the slices out by a prefix sum, fill
 // them, and freeze — a few flat passes, each fanned across an optional pool.
 //
-// GraphBuilder accumulates links in per-node buffers with the same contract
-// as the frozen graph's incremental API (short links first, then long
-// links); freeze() packs them into the flat CSR OverlayGraph. It serves
-// hand-built graphs and the §5 heuristic, and is the reference the one-shot
-// builds are tested against.
+// GraphBuilder accumulates links in per-node buffers (short links first,
+// then long links); freeze() packs them into the immutable CSR OverlayGraph.
+// It serves hand-built graphs and the §5 heuristic, and is the reference the
+// one-shot builds are tested against.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +29,8 @@
 namespace p2p::graph {
 
 /// Mutable first phase of overlay construction; freeze() yields the CSR
-/// OverlayGraph. The link contract matches OverlayGraph's incremental API:
-/// all short links of a node must be added before its first long link.
+/// OverlayGraph. All short links of a node must be added before its first
+/// long link.
 class GraphBuilder {
  public:
   /// A builder whose node i sits at grid position i (fully populated grid).
@@ -210,16 +209,5 @@ struct BuildSpec {
                                                    std::size_t long_links,
                                                    double exponent, util::Rng& rng,
                                                    util::ThreadPool& pool);
-
-/// Wires only the immediate-neighbour (short) links of g: every node to its
-/// nearest neighbour on each side (wrapping on a ring). Legacy incremental
-/// path (O(n²) on a frozen graph) — kept for tests and small fixtures;
-/// large builds use build_overlay or GraphBuilder::wire_short_links.
-void wire_short_links(OverlayGraph& g);
-
-/// Adds the reverse of every long link not already present (in place).
-/// Legacy incremental path — see BuildSpec::bidirectional and
-/// GraphBuilder::make_bidirectional.
-void make_bidirectional(OverlayGraph& g);
 
 }  // namespace p2p::graph

@@ -1,9 +1,7 @@
 #include "graph/overlay_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <stdexcept>
 
 #include "util/require.h"
 #include "util/thread_pool.h"
@@ -23,8 +21,8 @@ NodeId node_at(const metric::Space& space,
 }
 
 NodeId node_nearest(const metric::Space& space,
-                    std::span<const metric::Point> positions, metric::Point p,
-                    util::ThreadPool* pool) noexcept {
+                    std::span<const metric::Point> positions,
+                    metric::Point p) noexcept {
   if (positions.empty()) {
     return space.contains(p) ? static_cast<NodeId>(p) : kInvalidNode;
   }
@@ -41,35 +39,7 @@ NodeId node_nearest(const metric::Space& space,
   };
   if (!space.one_dimensional()) {
     // Flattened row-major order is not metric order on a torus, so the
-    // sorted-positions bisection below does not apply; scan. The pool fans
-    // the scan with a chunk-deterministic reduction (ties break to the lower
-    // position exactly as the serial walk does — positions are strictly
-    // increasing, so lower index == lower position).
-    if (pool != nullptr && positions.size() >= 4096) {
-      struct Best {
-        NodeId id = kInvalidNode;
-        metric::Distance d = 0;
-      };
-      const Best top = pool->parallel_reduce(
-          positions.size(), pool->thread_count() * 4, Best{},
-          [&](std::size_t lo, std::size_t hi) {
-            Best b;
-            for (std::size_t idx = lo; idx < hi; ++idx) {
-              const metric::Distance d = space.distance(positions[idx], p);
-              if (b.id == kInvalidNode || d < b.d) {
-                b.id = static_cast<NodeId>(idx);
-                b.d = d;
-              }
-            }
-            return b;
-          },
-          [](Best acc, Best part) {
-            if (part.id == kInvalidNode) return acc;
-            if (acc.id == kInvalidNode || part.d < acc.d) return part;
-            return acc;  // equal distance: earlier chunk == lower position
-          });
-      return top.id;
-    }
+    // sorted-positions bisection below does not apply; scan.
     for (std::size_t idx = 0; idx < positions.size(); ++idx) consider(idx);
     return best;
   }
@@ -146,28 +116,6 @@ OverlayGraph detail::freeze_csr(metric::Space space,
                       std::move(short_degree), std::move(edges), pool);
 }
 
-OverlayGraph::OverlayGraph(metric::Space space)
-    : space_(space),
-      node_count_(space.size()),
-      headers_(space.size() + 1),
-      short_degree_(space.size(), 0) {}
-
-OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> positions)
-    : space_(space), positions_(std::move(positions)) {
-  util::require(!positions_.empty(), "OverlayGraph: need at least one node");
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    util::require(space_.contains(positions_[i]),
-                  "OverlayGraph: position outside the space");
-    if (i > 0) {
-      util::require(positions_[i - 1] < positions_[i],
-                    "OverlayGraph: positions must be strictly increasing");
-    }
-  }
-  node_count_ = positions_.size();
-  headers_.resize(positions_.size() + 1);
-  short_degree_.assign(positions_.size(), 0);
-}
-
 OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
                            std::vector<std::uint32_t> slice_sizes,
                            std::vector<std::uint32_t> short_degree,
@@ -223,8 +171,7 @@ OverlayGraph::OverlayGraph(const OverlayGraph& other)
       short_degree_(other.short_degree_),
       edges_(other.edges_),
       tail_(other.tail_),
-      link_count_(other.link_count_),
-      structural_generation_(other.structural_generation_) {
+      link_count_(other.link_count_) {
   if (other.layout_ == EdgeLayout::kCompact) {
     auto* ch = arena_.allocate_array<CompactHeader>(node_count_ + 1);
     std::copy_n(other.cheaders_, node_count_ + 1, ch);
@@ -312,92 +259,6 @@ OverlayGraph OverlayGraph::freeze_compact(
   return g;
 }
 
-void OverlayGraph::check_node(NodeId u) const {
-  util::require_in_range(u < size(), "OverlayGraph: node id out of range");
-}
-
-void OverlayGraph::require_mutable() const {
-  if (layout_ == EdgeLayout::kCompact) {
-    throw std::logic_error(
-        "OverlayGraph: the compact layout is immutable (build standard for "
-        "churn mutation)");
-  }
-}
-
-void OverlayGraph::write_slice_entry(NodeId u, std::size_t index, NodeId v) noexcept {
-  NodeHeader& h = headers_[u];
-  edges_[h.offset + index] = v;
-  if (index < kInlineEdges) {
-    h.inline_edges[index] = v;
-  } else {
-    tail_[h.tail + index - kInlineEdges] = v;
-  }
-}
-
-void OverlayGraph::append_slot(NodeId u, NodeId v) {
-  NodeHeader& h = headers_[u];
-  if (h.degree < slot_capacity(u)) {
-    // Reuse a slot reserved by an earlier clear_links; the tail replica slot
-    // exists whenever the capacity extends past the inline prefix.
-    write_slice_entry(u, h.degree, v);
-  } else {
-    util::require(edges_.size() < std::numeric_limits<std::uint32_t>::max(),
-                  "OverlayGraph: edge slot index overflow");
-    ++structural_generation_;  // every later node's slots are about to move
-    const std::size_t slot = h.offset + h.degree;
-    edges_.insert(edges_.begin() + static_cast<std::ptrdiff_t>(slot), v);
-    if (h.degree >= kInlineEdges) {
-      const std::size_t tail_slot = h.tail + h.degree - kInlineEdges;
-      tail_.insert(tail_.begin() + static_cast<std::ptrdiff_t>(tail_slot), v);
-      for (std::size_t w = u + 1; w < headers_.size(); ++w) {
-        ++headers_[w].offset;
-        ++headers_[w].tail;
-      }
-    } else {
-      h.inline_edges[h.degree] = v;
-      for (std::size_t w = u + 1; w < headers_.size(); ++w) ++headers_[w].offset;
-    }
-  }
-  ++h.degree;
-  ++link_count_;
-}
-
-void OverlayGraph::add_short_link(NodeId u, NodeId v) {
-  require_mutable();
-  check_node(u);
-  check_node(v);
-  if (short_degree_[u] != headers_[u].degree) {
-    throw std::logic_error("OverlayGraph: short links must precede long links");
-  }
-  append_slot(u, v);
-  ++short_degree_[u];
-}
-
-void OverlayGraph::add_long_link(NodeId u, NodeId v) {
-  require_mutable();
-  check_node(u);
-  check_node(v);
-  append_slot(u, v);
-}
-
-void OverlayGraph::replace_long_link(NodeId u, std::size_t long_index, NodeId v) {
-  require_mutable();
-  check_node(u);
-  check_node(v);
-  const std::size_t idx = short_degree_[u] + long_index;
-  util::require_in_range(idx < headers_[u].degree,
-                         "OverlayGraph::replace_long_link: index out of range");
-  write_slice_entry(u, idx, v);
-}
-
-void OverlayGraph::clear_links(NodeId u) {
-  require_mutable();
-  check_node(u);
-  link_count_ -= headers_[u].degree;
-  headers_[u].degree = 0;
-  short_degree_[u] = 0;
-}
-
 bool OverlayGraph::has_link(NodeId u, NodeId v) const noexcept {
   const auto adj = neighbors(u);
   return std::find(adj.begin(), adj.end(), v) != adj.end();
@@ -408,24 +269,6 @@ std::vector<std::uint32_t> OverlayGraph::in_degrees() const {
   for (NodeId u = 0; u < size(); ++u) {
     for (const NodeId v : neighbors(u)) ++degrees[v];
   }
-  return degrees;
-}
-
-std::vector<std::uint32_t> OverlayGraph::in_degrees(util::ThreadPool& pool) const {
-  std::vector<std::uint32_t> degrees(size(), 0);
-  if (size() == 0) return degrees;
-  // One shared output array with relaxed atomic bumps: in-degree targets are
-  // near-uniform, so contention is negligible and no per-chunk partial
-  // arrays (4n bytes each — prohibitive at 1e8) are needed.
-  pool.parallel_chunks(
-      size(), pool.thread_count() * 4, [&](std::size_t lo, std::size_t hi) {
-        for (NodeId u = static_cast<NodeId>(lo); u < hi; ++u) {
-          for (const NodeId v : neighbors(u)) {
-            std::atomic_ref<std::uint32_t>(degrees[v])
-                .fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
   return degrees;
 }
 

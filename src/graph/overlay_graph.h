@@ -15,39 +15,27 @@
 //  * kStandard — compressed sparse row with a 64-byte header per node
 //    (CSR offsets + an inline replica of the first kInlineEdges slice
 //    entries) over a canonical flat edge array plus a spill replica. The
-//    router walks headers (one cache line per hop); mutation paths write
-//    through every replica. Supports in-place churn mutation.
+//    router walks headers (one cache line per hop).
 //
-//  * kCompact — a memory-lean immutable form for the 1e7–1e8 node scale
-//    sweeps: a prefix-free 16-byte header per node (slot base, encoded
-//    stream base, degree, short degree) over a single u16 stream of
-//    delta-encoded link targets. Most long links are metric-local, so a
-//    target v of node u is stored as the zigzag of v - u in one u16 word;
-//    targets out of that range cost an escape word plus the absolute id in
-//    two more words. Headers and stream live in a util::Arena backed by
-//    transparent huge pages. Slot numbering (edge_base(u) + i) is identical
-//    to the standard form, so FailureViews and churn deltas key the same;
-//    mutators throw std::logic_error.
+//  * kCompact — a memory-lean form for the 1e7–1e8 node scale sweeps: a
+//    prefix-free 16-byte header per node (slot base, encoded stream base,
+//    degree, short degree) over a single u16 stream of delta-encoded link
+//    targets. Most long links are metric-local, so a target v of node u is
+//    stored as the zigzag of v - u in one u16 word; targets out of that
+//    range cost an escape word plus the absolute id in two more words.
+//    Headers and stream live in a util::Arena backed by transparent huge
+//    pages. Slot numbering (edge_base(u) + i) is identical to the standard
+//    form, so FailureViews and churn deltas key the same.
 //
 // Neighbour queries return a NeighborRange — a forward range that is a raw
 // pointer walk on the standard layout and a decode-as-you-go cursor on the
 // compact one; operator[] is O(1) standard, O(i) compact.
 //
-// Graphs are normally built frozen by build_overlay or assembled through
-// GraphBuilder (graph_builder.h); the standard frozen form still supports
-// the in-place mutations the churn experiments need:
-//
-//  * replace_long_link — rewires a slot in place, O(1), offsets unchanged;
-//  * clear_links       — truncates the node's degree to zero, O(1); the
-//    slots stay reserved, so re-adding up to the old degree is also O(1);
-//  * add_short_link / add_long_link — kept for incremental (test and
-//    small-scale) construction; they reuse reserved slots when available and
-//    otherwise fall back to an O(edges) insertion that shifts the flat
-//    arrays. Bulk construction should go through graph_builder.h.
-//
-// Structural growth (an add_* call that cannot reuse a reserved slot) shifts
-// every later node's slots, so FailureViews built over the graph must be
-// rebuilt afterwards. replace_long_link and clear_links never move slots.
+// A graph is immutable once built. The only ways to make one are
+// build_overlay, build_kleinberg_overlay and GraphBuilder::freeze
+// (graph_builder.h), all through detail::freeze_csr; churn is modelled by
+// FailureView link and node masks over the fixed slots, and a changing
+// topology by core::DynamicOverlay, which snapshots a fresh graph.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +63,9 @@ enum class EdgeLayout : std::uint8_t { kStandard, kCompact };
 
 /// How a frozen graph is materialized.
 struct FreezeOptions {
-  /// kStandard: the 64-byte-header CSR with inline/spill replicas (mutable,
-  /// the churn experiments' form). kCompact: the 16-byte-header
-  /// delta-encoded arena form (immutable, ~2x leaner; the scale sweeps').
+  /// kStandard: the 64-byte-header CSR with inline/spill replicas (the
+  /// routing experiments' form). kCompact: the 16-byte-header delta-encoded
+  /// arena form (~2x leaner; the scale sweeps').
   EdgeLayout layout = EdgeLayout::kStandard;
   /// Compact only: request MADV_HUGEPAGE on the arena chunks.
   bool huge_pages = true;
@@ -98,11 +86,9 @@ namespace detail {
 /// O(log nodes) on a 1-D space (positions are sorted along the metric);
 /// O(nodes) on a torus, whose flattened order is not metric order — sparse
 /// 2-D overlays are a test-scale configuration, the torus builds dense.
-/// The pool overload fans the torus scan; pass nullptr for the serial walk.
 [[nodiscard]] NodeId node_nearest(const metric::Space& space,
                                   std::span<const metric::Point> positions,
-                                  metric::Point p,
-                                  util::ThreadPool* pool = nullptr) noexcept;
+                                  metric::Point p) noexcept;
 
 /// Escape marker of the compact encoding: the next two words hold the
 /// absolute target (lo, hi). Any other word is the zigzag of (target - u).
@@ -256,13 +242,6 @@ class OverlayGraph {
   };
   static_assert(sizeof(CompactHeader) == 16);
 
-  /// A graph whose node i sits at grid position i (fully populated grid).
-  explicit OverlayGraph(metric::Space space);
-
-  /// A graph over a sparse, strictly increasing set of occupied positions.
-  /// Preconditions: positions sorted strictly increasing, all within space.
-  OverlayGraph(metric::Space space, std::vector<metric::Point> positions);
-
   OverlayGraph(const OverlayGraph& other);
   OverlayGraph& operator=(const OverlayGraph& other);
   OverlayGraph(OverlayGraph&&) noexcept = default;
@@ -294,14 +273,9 @@ class OverlayGraph {
   }
 
   /// The node whose position is closest to p (ties break to the lower
-  /// position). Precondition: size() > 0 and space().contains(p). The pool
-  /// overload fans the torus-sparse O(n) scan across workers.
+  /// position). Precondition: size() > 0 and space().contains(p).
   [[nodiscard]] NodeId node_nearest(metric::Point p) const noexcept {
     return detail::node_nearest(space_, positions_, p);
-  }
-  [[nodiscard]] NodeId node_nearest(metric::Point p,
-                                    util::ThreadPool& pool) const noexcept {
-    return detail::node_nearest(space_, positions_, p, &pool);
   }
 
   /// All out-neighbours of u: short links first, then long links.
@@ -406,42 +380,14 @@ class OverlayGraph {
                                            : headers_[u].offset;
   }
 
-  /// Total number of link slots (live links plus slots reserved by
-  /// clear_links truncation). Flat slot indices are < edge_slots().
+  /// Total number of link slots. Flat slot indices are < edge_slots().
   [[nodiscard]] std::size_t edge_slots() const noexcept {
     return layout_ == EdgeLayout::kCompact ? cheaders_[node_count_].offset
                                            : edges_.size();
   }
 
-  /// Incremented by every slot-moving mutation (an add_* call that could not
-  /// reuse a reserved slot and had to shift the flat arrays). FailureViews
-  /// record the generation they were built against and refuse to operate —
-  /// throw in mutators, assert in debug-build queries — once it moves, so
-  /// "rebuild the view after structural growth" is enforced, not advisory.
-  /// replace_long_link and clear_links never change the generation.
-  [[nodiscard]] std::uint64_t structural_generation() const noexcept {
-    return structural_generation_;
-  }
-
   /// Total number of live directed links in the graph.
   [[nodiscard]] std::size_t link_count() const noexcept { return link_count_; }
-
-  /// Appends a short (immediate-neighbour) link u -> v. Short links must be
-  /// added before any long link of u. Throws std::logic_error otherwise, and
-  /// always on a compact graph.
-  void add_short_link(NodeId u, NodeId v);
-
-  /// Appends a long-distance link u -> v. Throws on a compact graph.
-  void add_long_link(NodeId u, NodeId v);
-
-  /// Replaces the long link at `long_index` (index into long_neighbors(u))
-  /// with a link to v, in place. Precondition: long_index < long degree of u.
-  /// Throws on a compact graph.
-  void replace_long_link(NodeId u, std::size_t long_index, NodeId v);
-
-  /// Removes every link of u (short and long) by truncating its degree; the
-  /// slots stay reserved for later re-adds. Throws on a compact graph.
-  void clear_links(NodeId u);
 
   /// True when u has any link to v.
   [[nodiscard]] bool has_link(NodeId u, NodeId v) const noexcept;
@@ -451,9 +397,8 @@ class OverlayGraph {
     return space_.distance(position(u), position(v));
   }
 
-  /// In-degrees of every node — O(links) scan; the pool overload fans it.
+  /// In-degrees of every node — O(links) scan.
   [[nodiscard]] std::vector<std::uint32_t> in_degrees() const;
-  [[nodiscard]] std::vector<std::uint32_t> in_degrees(util::ThreadPool& pool) const;
 
   /// Lengths of every long-distance link (for Figure 5 style histograms).
   [[nodiscard]] std::vector<metric::Distance> long_link_lengths() const;
@@ -512,23 +457,6 @@ class OverlayGraph {
   OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
                CompactTag) noexcept;
 
-  void check_node(NodeId u) const;
-  void require_mutable() const;
-
-  /// Capacity (reserved slots) of u's slice.
-  [[nodiscard]] std::uint32_t slot_capacity(NodeId u) const noexcept {
-    return headers_[u + 1].offset - headers_[u].offset;
-  }
-
-  /// Writes v into slice position `index` of node u in every replica
-  /// (canonical slice, inline prefix, spill tail).
-  void write_slice_entry(NodeId u, std::size_t index, NodeId v) noexcept;
-
-  /// Makes room for one more link of u at slice position degree and writes v
-  /// there. Reuses a reserved slot when one exists; otherwise inserts into
-  /// the flat arrays (O(edges), shifts later nodes' offsets).
-  void append_slot(NodeId u, NodeId v);
-
   metric::Space space_;
   std::vector<metric::Point> positions_;     // empty when dense
   std::size_t node_count_ = 0;
@@ -547,7 +475,6 @@ class OverlayGraph {
   std::uint64_t enc_words_ = 0;              // total u16 words incl. padding
 
   std::size_t link_count_ = 0;
-  std::uint64_t structural_generation_ = 0;  // bumped when slots move
 };
 
 }  // namespace p2p::graph

@@ -1,15 +1,13 @@
 // Cross-module edge cases: degenerate sizes, boundary interactions between
-// failure views and routing policies, simulator corner behaviours, and DHT
-// boundary conditions not covered by the per-module suites.
+// failure views and routing policies, simulator and secure-router corner
+// behaviours not covered by the per-module suites.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "core/construction.h"
 #include "core/router.h"
 #include "core/secure_router.h"
-#include "dht/dht.h"
 #include "failure/byzantine.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
@@ -29,11 +27,17 @@ using graph::OverlayGraph;
 using metric::Point;
 using metric::Space1D;
 
+/// A ring of n nodes wired with its short links only.
+OverlayGraph short_ring(std::uint64_t n) {
+  graph::GraphBuilder builder(Space1D::ring(n));
+  builder.wire_short_links();
+  return builder.freeze();
+}
+
 // -- Degenerate graph sizes ---------------------------------------------------
 
 TEST(EdgeCases, TwoNodeRingRoutesBothWays) {
-  OverlayGraph g(Space1D::ring(2));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(2);
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
   util::Rng rng(1);
@@ -84,8 +88,7 @@ TEST(EdgeCases, ThreeMemberRingSnapshotShortLinksFormACycle) {
 // -- FailureView x policy interactions ---------------------------------------
 
 TEST(EdgeCases, BacktrackOverDeadSourceNeighboursFailsCleanly) {
-  OverlayGraph g(Space1D::ring(8));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(8);
   auto view = FailureView::all_alive(g);
   view.kill_node(1);
   view.kill_node(7);  // source completely cut off
@@ -99,8 +102,7 @@ TEST(EdgeCases, BacktrackOverDeadSourceNeighboursFailsCleanly) {
 }
 
 TEST(EdgeCases, RerouteWithZeroBudgetBehavesLikeTerminate) {
-  OverlayGraph g(Space1D::ring(10));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(10);
   auto view = FailureView::all_alive(g);
   view.kill_node(4);
   RouterConfig cfg;
@@ -148,8 +150,7 @@ TEST(EdgeCases, LinkAndNodeFailureViewsCompose) {
 // -- Simulator corners ---------------------------------------------------------
 
 TEST(EdgeCases, SimulatorHandlesBacktrackPolicy) {
-  OverlayGraph g(Space1D::ring(10));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(10);
   auto view = FailureView::all_alive(g);
   view.kill_node(4);
   core::RouterConfig cfg;
@@ -166,8 +167,7 @@ TEST(EdgeCases, SimulatorHandlesBacktrackPolicy) {
 }
 
 TEST(EdgeCases, SimulatorZeroHopSearchCompletesImmediately) {
-  OverlayGraph g(Space1D::ring(4));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(4);
   sim::NetworkSimulator simulator(g, FailureView::all_alive(g), {},
                                   sim::LatencyModel{1.0, 1.0}, 10);
   simulator.submit_search(5.0, 2, 2);
@@ -178,8 +178,7 @@ TEST(EdgeCases, SimulatorZeroHopSearchCompletesImmediately) {
 }
 
 TEST(EdgeCases, SimulatorCompletionCallbackFires) {
-  OverlayGraph g(Space1D::ring(8));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(8);
   sim::NetworkSimulator simulator(g, FailureView::all_alive(g), {},
                                   sim::LatencyModel{1.0, 1.0}, 11);
   int completed = 0;
@@ -190,67 +189,10 @@ TEST(EdgeCases, SimulatorCompletionCallbackFires) {
   EXPECT_EQ(completed, 2);
 }
 
-// -- DHT boundaries -------------------------------------------------------------
-
-TEST(EdgeCases, DhtWithSingleNodeStoresLocally) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 2;
-  cfg.replication = 3;  // more replicas than nodes: clamps to node count
-  dht::Dht store(Space1D::ring(64), cfg, 12);
-  store.add_node(7);
-  ASSERT_TRUE(store.put(7, "k", "v").ok);
-  EXPECT_EQ(store.stored_copies(), 1u);
-  const auto got = store.get(7, "k");
-  ASSERT_TRUE(got.ok);
-  EXPECT_EQ(got.value, "v");
-}
-
-TEST(EdgeCases, DhtEraseOfUnknownKeySucceedsIdempotently) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 2;
-  dht::Dht store(Space1D::ring(64), cfg, 13);
-  store.add_node(0);
-  store.add_node(32);
-  EXPECT_TRUE(store.erase(0, "never-put").ok);
-  EXPECT_EQ(store.stored_copies(), 0u);
-}
-
-TEST(EdgeCases, DhtReplicationClampsToMembership) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 2;
-  cfg.replication = 5;
-  dht::Dht store(Space1D::ring(256), cfg, 14);
-  store.add_node(0);
-  store.add_node(100);
-  ASSERT_TRUE(store.put(0, "k", "v").ok);
-  EXPECT_EQ(store.stored_copies(), 2u);  // only two members exist
-  store.add_node(50);
-  store.add_node(150);
-  store.add_node(200);
-  // Rebalance on join grows the replica set toward the factor.
-  EXPECT_EQ(store.owners_of("k").size(), 5u);
-  EXPECT_EQ(store.stored_copies(), 5u);
-}
-
-TEST(EdgeCases, DhtValueOverwriteKeepsSingleHolderSet) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 2;
-  cfg.replication = 2;
-  dht::Dht store(Space1D::ring(128), cfg, 15);
-  for (Point p = 0; p < 128; p += 16) store.add_node(p);
-  for (int i = 0; i < 5; ++i) {
-    const std::string value = std::string("v") + std::to_string(i);
-    ASSERT_TRUE(store.put(0, "k", value).ok);
-  }
-  EXPECT_EQ(store.stored_copies(), 2u);  // overwrites do not duplicate
-  EXPECT_EQ(store.get(16, "k").value, "v4");
-}
-
 // -- Secure router corners -------------------------------------------------------
 
 TEST(EdgeCases, SecureRouterMorePathsThanNeighboursStillWorks) {
-  OverlayGraph g(Space1D::ring(16));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(16);
   const auto view = FailureView::all_alive(g);
   const auto byz = failure::ByzantineSet::none(g);
   const core::SecureRouter router(g, view, byz, {.paths = 10});
@@ -262,8 +204,7 @@ TEST(EdgeCases, SecureRouterMorePathsThanNeighboursStillWorks) {
 }
 
 TEST(EdgeCases, FullyByzantineInteriorBlocksEverything) {
-  OverlayGraph g(Space1D::ring(8));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(8);
   const auto view = FailureView::all_alive(g);
   auto byz = failure::ByzantineSet::none(g);
   for (NodeId u = 1; u < 8; ++u) {
@@ -277,8 +218,7 @@ TEST(EdgeCases, FullyByzantineInteriorBlocksEverything) {
 // -- run_batch preconditions -----------------------------------------------------
 
 TEST(EdgeCases, RunBatchRequiresTwoLiveNodes) {
-  OverlayGraph g(Space1D::ring(4));
-  graph::wire_short_links(g);
+  const OverlayGraph g = short_ring(4);
   auto view = FailureView::all_alive(g);
   for (NodeId u = 1; u < 4; ++u) view.kill_node(u);
   const Router router(g, view);

@@ -4,10 +4,6 @@
 //  * DynamicOverlay: joins/leaves/crashes/repairs in random order must keep
 //    membership, link-target validity and the in/out reverse index
 //    consistent, and the overlay must stay routable.
-//  * Dht: put/get/erase/add_node/remove_node/crash_node sequences checked
-//    against an in-memory map; replication invariant ("the R closest members
-//    hold every key") re-verified after each membership change; graceful
-//    operations must never lose data.
 //  * AdversaryFuzz: corrupt/heal/apply/revert/kill/revive/seek/record/decay
 //    interleavings over ByzantineSet + FailureView + ReputationTable against
 //    reference models; every byte sideband must equal its scalar
@@ -15,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -26,7 +21,6 @@
 #include "core/construction.h"
 #include "core/router.h"
 #include "core/secure_router.h"
-#include "dht/dht.h"
 #include "failure/byzantine.h"
 #include "failure/failure_model.h"
 #include "failure/reputation.h"
@@ -109,108 +103,6 @@ TEST_P(OverlayFuzz, RandomOperationSequencesKeepInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OverlayFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
-                         [](const auto& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
-
-// ---------------------------------------------------------------------------
-// Dht fuzz against a reference map
-// ---------------------------------------------------------------------------
-
-class DhtFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DhtFuzz, MatchesReferenceMapThroughChurn) {
-  const std::uint64_t seed = GetParam();
-  util::Rng rng(seed * 7919 + 13);
-  const std::uint64_t grid = 1024;
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 6;
-  cfg.replication = 3;
-  dht::Dht store(Space1D::ring(grid), cfg, seed);
-
-  // Bootstrap membership. Position 0 stays alive as the query origin.
-  store.add_node(0);
-  for (Point p = 8; p < static_cast<Point>(grid); p += 8) store.add_node(p);
-
-  std::map<std::string, std::string> reference;
-  std::size_t next_key = 0;
-
-  const auto check_replication = [&]() {
-    for (const auto& [key, value] : reference) {
-      const auto owners = store.owners_of(key);
-      ASSERT_EQ(owners.size(),
-                std::min<std::size_t>(cfg.replication, store.node_count()));
-      for (const Point holder : owners) {
-        const auto keys = store.keys_at(holder);
-        ASSERT_TRUE(std::find(keys.begin(), keys.end(), key) != keys.end())
-            << "owner " << holder << " lost " << key;
-      }
-    }
-  };
-
-  for (int op = 0; op < 400; ++op) {
-    const double dice = rng.next_double();
-    if (dice < 0.30) {  // put (new or overwrite)
-      const std::string key =
-          "k" + std::to_string(reference.empty() || rng.next_bool(0.7)
-                                   ? next_key++
-                                   : rng.next_below(next_key));
-      const std::string value = "v" + std::to_string(op);
-      const auto res = store.put(0, key, value);
-      ASSERT_TRUE(res.ok);
-      reference[key] = value;
-    } else if (dice < 0.55 && !reference.empty()) {  // get existing
-      auto it = reference.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(reference.size())));
-      const auto res = store.get(0, it->first);
-      ASSERT_TRUE(res.ok) << it->first;
-      ASSERT_EQ(res.value, it->second);
-    } else if (dice < 0.62 && !reference.empty()) {  // erase
-      auto it = reference.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(reference.size())));
-      ASSERT_TRUE(store.erase(0, it->first).ok);
-      ASSERT_FALSE(store.get(0, it->first).ok);
-      reference.erase(it);
-    } else if (dice < 0.72) {  // get a key that never existed
-      ASSERT_FALSE(store.get(0, "ghost-" + std::to_string(op)).ok);
-    } else if (dice < 0.82) {  // join at a vacant position
-      const auto p = static_cast<Point>(rng.next_below(grid));
-      if (!store.has_node(p)) {
-        store.add_node(p);
-        check_replication();
-      }
-    } else if (dice < 0.92 && store.node_count() > 8) {  // graceful leave
-      const auto members = store.overlay().members();
-      const Point victim = members[rng.next_below(members.size())];
-      if (victim != 0) {
-        store.remove_node(victim);
-        check_replication();
-      }
-    } else if (store.node_count() > 8) {  // crash
-      const auto members = store.overlay().members();
-      const Point victim = members[rng.next_below(members.size())];
-      if (victim != 0) {
-        store.crash_node(victim);
-        // With replication 3 and one crash at a time, nothing is lost and
-        // re-replication restores the invariant immediately.
-        ASSERT_EQ(store.lost_keys(), 0u);
-        check_replication();
-      }
-    }
-  }
-
-  // Full final audit: every reference entry readable with the right value,
-  // total copies = R * keys.
-  for (const auto& [key, value] : reference) {
-    const auto res = store.get(0, key);
-    ASSERT_TRUE(res.ok) << key;
-    EXPECT_EQ(res.value, value);
-  }
-  EXPECT_EQ(store.stored_copies(), reference.size() * cfg.replication);
-  EXPECT_EQ(store.lost_keys(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DhtFuzz, ::testing::Values(1u, 2u, 3u, 4u),
                          [](const auto& info) {
                            return "seed" + std::to_string(info.param);
                          });

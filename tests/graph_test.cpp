@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -20,8 +21,16 @@ namespace {
 
 using metric::Space1D;
 
+// A graph is immutable once built: no edgeless public constructor, and no
+// way to add, rewire or drop a link afterwards.
+template <class G>
+concept Mutable = requires(G& g) { g.add_long_link(NodeId{}, NodeId{}); };
+static_assert(!std::is_constructible_v<OverlayGraph, metric::Space>);
+static_assert(!Mutable<OverlayGraph>);
+static_assert(Mutable<GraphBuilder>);
+
 TEST(OverlayGraph, DensePositionsAreIdentity) {
-  OverlayGraph g(Space1D::ring(8));
+  const OverlayGraph g = GraphBuilder(Space1D::ring(8)).freeze();
   EXPECT_EQ(g.size(), 8u);
   for (NodeId u = 0; u < 8; ++u) EXPECT_EQ(g.position(u), static_cast<metric::Point>(u));
   EXPECT_EQ(g.node_at(5), 5u);
@@ -29,7 +38,7 @@ TEST(OverlayGraph, DensePositionsAreIdentity) {
 }
 
 TEST(OverlayGraph, SparsePositionsMapCorrectly) {
-  OverlayGraph g(Space1D::line(100), {3, 10, 50, 99});
+  const OverlayGraph g = GraphBuilder(Space1D::line(100), {3, 10, 50, 99}).freeze();
   EXPECT_EQ(g.size(), 4u);
   EXPECT_EQ(g.position(2), 50);
   EXPECT_EQ(g.node_at(10), 1u);
@@ -37,7 +46,7 @@ TEST(OverlayGraph, SparsePositionsMapCorrectly) {
 }
 
 TEST(OverlayGraph, NodeNearestPicksClosest) {
-  OverlayGraph g(Space1D::line(100), {3, 10, 50, 99});
+  const OverlayGraph g = GraphBuilder(Space1D::line(100), {3, 10, 50, 99}).freeze();
   EXPECT_EQ(g.node_nearest(4), 0u);
   EXPECT_EQ(g.node_nearest(7), 1u);   // 7 is 4 from 3, 3 from 10
   EXPECT_EQ(g.node_nearest(30), 1u);  // 20 from 10, 20 from 50 -> lower position
@@ -45,23 +54,17 @@ TEST(OverlayGraph, NodeNearestPicksClosest) {
 }
 
 TEST(OverlayGraph, NodeNearestWrapsOnRing) {
-  OverlayGraph g(Space1D::ring(100), {10, 90});
+  const OverlayGraph g = GraphBuilder(Space1D::ring(100), {10, 90}).freeze();
   EXPECT_EQ(g.node_nearest(99), 1u);  // 9 from 90, 11 from 10 via wrap
   EXPECT_EQ(g.node_nearest(1), 0u);   // 9 from 10, 11 from 90 via wrap
 }
 
-TEST(OverlayGraph, ShortLinksMustPrecedeLongLinks) {
-  OverlayGraph g(Space1D::line(4));
-  g.add_short_link(0, 1);
-  g.add_long_link(0, 2);
-  EXPECT_THROW(g.add_short_link(0, 3), std::logic_error);
-}
-
 TEST(OverlayGraph, NeighborSpansSplitShortAndLong) {
-  OverlayGraph g(Space1D::line(5));
-  g.add_short_link(2, 1);
-  g.add_short_link(2, 3);
-  g.add_long_link(2, 0);
+  GraphBuilder b(Space1D::line(5));
+  b.add_short_link(2, 1);
+  b.add_short_link(2, 3);
+  b.add_long_link(2, 0);
+  const OverlayGraph g = b.freeze();
   EXPECT_EQ(g.short_degree(2), 2u);
   EXPECT_EQ(g.out_degree(2), 3u);
   ASSERT_EQ(g.long_neighbors(2).size(), 1u);
@@ -69,53 +72,40 @@ TEST(OverlayGraph, NeighborSpansSplitShortAndLong) {
   EXPECT_EQ(g.link_count(), 3u);
 }
 
-TEST(OverlayGraph, ReplaceLongLink) {
-  OverlayGraph g(Space1D::line(5));
-  g.add_short_link(0, 1);
-  g.add_long_link(0, 3);
-  g.replace_long_link(0, 0, 4);
-  EXPECT_TRUE(g.has_link(0, 4));
-  EXPECT_FALSE(g.has_link(0, 3));
-  EXPECT_THROW(g.replace_long_link(0, 1, 2), std::out_of_range);
-}
-
-TEST(OverlayGraph, ClearLinksResetsDegrees) {
-  OverlayGraph g(Space1D::line(5));
-  g.add_short_link(0, 1);
-  g.add_long_link(0, 3);
-  g.clear_links(0);
-  EXPECT_EQ(g.out_degree(0), 0u);
-  EXPECT_EQ(g.short_degree(0), 0u);
-  EXPECT_EQ(g.link_count(), 0u);
-}
-
 TEST(OverlayGraph, InDegreesCountIncomingLinks) {
-  OverlayGraph g(Space1D::line(4));
-  g.add_long_link(0, 2);
-  g.add_long_link(1, 2);
-  g.add_long_link(3, 2);
-  g.add_long_link(2, 0);
-  const auto in = g.in_degrees();
+  GraphBuilder b(Space1D::line(4));
+  b.add_long_link(0, 2);
+  b.add_long_link(1, 2);
+  b.add_long_link(3, 2);
+  b.add_long_link(2, 0);
+  const auto in = b.freeze().in_degrees();
   EXPECT_EQ(in[2], 3u);
   EXPECT_EQ(in[0], 1u);
   EXPECT_EQ(in[1], 0u);
 }
 
 TEST(OverlayGraph, LongLinkLengths) {
-  OverlayGraph g(Space1D::ring(10));
-  g.add_short_link(0, 1);
-  g.add_long_link(0, 4);  // length 4
-  g.add_long_link(0, 9);  // length 1 on the ring
-  const auto lengths = g.long_link_lengths();
+  GraphBuilder b(Space1D::ring(10));
+  b.add_short_link(0, 1);
+  b.add_long_link(0, 4);  // length 4
+  b.add_long_link(0, 9);  // length 1 on the ring
+  const auto lengths = b.freeze().long_link_lengths();
   ASSERT_EQ(lengths.size(), 2u);
   EXPECT_EQ(lengths[0], 4u);
   EXPECT_EQ(lengths[1], 1u);
 }
 
-TEST(OverlayGraph, RejectsUnsortedSparsePositions) {
-  EXPECT_THROW(OverlayGraph(Space1D::line(10), {5, 3}), std::invalid_argument);
-  EXPECT_THROW(OverlayGraph(Space1D::line(10), {3, 3}), std::invalid_argument);
-  EXPECT_THROW(OverlayGraph(Space1D::line(10), {3, 11}), std::invalid_argument);
+TEST(GraphBuilder, ShortLinksMustPrecedeLongLinks) {
+  GraphBuilder b(Space1D::line(4));
+  b.add_short_link(0, 1);
+  b.add_long_link(0, 2);
+  EXPECT_THROW(b.add_short_link(0, 3), std::logic_error);
+}
+
+TEST(GraphBuilder, RejectsUnsortedSparsePositions) {
+  EXPECT_THROW(GraphBuilder(Space1D::line(10), {5, 3}), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder(Space1D::line(10), {3, 3}), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder(Space1D::line(10), {3, 11}), std::invalid_argument);
 }
 
 // -- Power-law sampler --------------------------------------------------------
@@ -804,23 +794,6 @@ TEST(BuildOverlay, LargeBidirectionalRingHashIsPinned) {
   util::ThreadPool pool(4);
   util::Rng pooled_rng(1302);
   EXPECT_EQ(graph_hash(build_overlay(spec, pooled_rng, pool)), kPinned);
-}
-
-TEST(OverlayGraph, StructuralGenerationTracksSlotMoves) {
-  GraphBuilder builder(Space1D::ring(8));
-  builder.wire_short_links();
-  OverlayGraph g = builder.freeze();
-  EXPECT_EQ(g.structural_generation(), 0u);
-  g.clear_links(3);
-  EXPECT_EQ(g.structural_generation(), 0u);  // truncation reserves slots
-  g.add_short_link(3, 4);                    // slot reuse
-  EXPECT_EQ(g.structural_generation(), 0u);
-  g.add_short_link(3, 2);  // second reuse
-  EXPECT_EQ(g.structural_generation(), 0u);
-  g.add_long_link(3, 6);  // out of reserved slots: the flat arrays shift
-  EXPECT_EQ(g.structural_generation(), 1u);
-  g.add_long_link(5, 1);
-  EXPECT_EQ(g.structural_generation(), 2u);
 }
 
 }  // namespace

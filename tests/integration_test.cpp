@@ -5,13 +5,11 @@
 
 #include <cmath>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "analysis/bounds.h"
 #include "core/construction.h"
 #include "core/router.h"
-#include "dht/dht.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
 #include "sim/hop_simulator.h"
@@ -189,37 +187,6 @@ TEST(Integration, MeasuredSingleLinkTimeIsWithinTheorem12Bound) {
   const auto view = FailureView::all_alive(g);
   const auto batch = sim::run_batch(Router(g, view), 400, rng);
   EXPECT_LT(batch.hops_success.mean(), analysis::upper_single_link(4096));
-}
-
-TEST(Integration, DhtServesLookupsOverAChurningOverlay) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 6;
-  cfg.replication = 3;
-  dht::Dht store(Space1D::ring(1024), cfg, /*seed=*/34);
-  util::Rng rng(35);
-  // Bootstrap 128 members.
-  for (Point p = 0; p < 1024; p += 8) store.add_node(p);
-  for (int i = 0; i < 40; ++i) {
-    const std::string key = std::string("k") + std::to_string(i);
-    const std::string value = std::string("v") + std::to_string(i);
-    ASSERT_TRUE(store.put(0, key, value).ok);
-  }
-  // Churn: 30 joins at odd positions, 30 crashes of existing non-origin nodes.
-  for (int i = 0; i < 30; ++i) {
-    const Point p = 8 * static_cast<Point>(rng.next_below(128)) + 1 +
-                    static_cast<Point>(rng.next_below(7));
-    if (!store.has_node(p)) store.add_node(p);
-    const auto members = store.overlay().members();
-    const Point victim = members[rng.next_below(members.size())];
-    if (victim != 0) store.crash_node(victim);
-  }
-  EXPECT_EQ(store.lost_keys(), 0u);
-  for (int i = 0; i < 40; ++i) {
-    const std::string key = std::string("k") + std::to_string(i);
-    const auto got = store.get(0, key);
-    ASSERT_TRUE(got.ok) << key;
-    EXPECT_EQ(got.value, std::string("v") + std::to_string(i));
-  }
 }
 
 }  // namespace

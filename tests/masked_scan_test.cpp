@@ -6,7 +6,7 @@
 //    links, both, stale knowledge — is identical between the vectorized
 //    path and the scalar table (P2P_NO_SIMD pins both on one host), and
 //    both equal the allocating candidates() reference, on the line, the
-//    ring and the Kleinberg torus;
+//    ring and the Kleinberg torus, at every rank past the inline prefix;
 //  * route()/route_batch() (widths 1 and 32) are bit-identical between the
 //    two implementations under failures, and stay so while a churn log
 //    seeks the view forward and backward across epochs.
@@ -277,6 +277,39 @@ TEST(MaskedScan, SelectionEquivalenceHighDegreeHub) {
     const NodeId want = reference.empty() ? graph::kInvalidNode : reference[0];
     ASSERT_EQ(pair.simd.select_candidate(0, t, 0), want) << "t=" << t;
     ASSERT_EQ(pair.scalar.select_candidate(0, t, 0), want) << "t=" << t;
+  }
+}
+
+TEST(MaskedScan, SelectionEveryRankPastInlinePrefix) {
+  // Every node's degree (up to 18) spills past the inline prefix (13), so
+  // ranks beyond the prefix read the spill replica while candidates() reads
+  // the canonical slice: the two must agree at every rank, and one past the
+  // last candidate is kInvalidNode.
+  graph::GraphBuilder builder{metric::Space1D::ring(64)};
+  builder.wire_short_links();
+  util::Rng rng(31);
+  for (NodeId u = 0; u < 64; ++u) {
+    for (int k = 0; k < 16; ++k) {
+      const auto v = static_cast<NodeId>(rng.next_below(64));
+      if (v != u) builder.add_long_link(u, v);
+    }
+  }
+  const auto g = builder.freeze();
+  const auto view = FailureView::all_alive(g);
+  const RouterPair pair(g, view);
+  for (NodeId u = 0; u < g.size(); ++u) {
+    ASSERT_GT(g.out_degree(u), OverlayGraph::kInlineEdges) << "u=" << u;
+    for (metric::Point t = 0; t < 64; t += 7) {
+      const auto reference = pair.scalar.candidates(u, t);
+      for (std::size_t rank = 0; rank <= reference.size(); ++rank) {
+        const NodeId want =
+            rank < reference.size() ? reference[rank] : graph::kInvalidNode;
+        ASSERT_EQ(pair.simd.select_candidate(u, t, rank), want)
+            << "u=" << u << " t=" << t << " rank=" << rank;
+        ASSERT_EQ(pair.scalar.select_candidate(u, t, rank), want)
+            << "u=" << u << " t=" << t << " rank=" << rank;
+      }
+    }
   }
 }
 

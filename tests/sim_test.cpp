@@ -135,8 +135,7 @@ TEST(NetworkSimulator, HopCountsMatchSynchronousRouter) {
 
 TEST(NetworkSimulator, MidFlightFailureChangesTheOutcome) {
   // Bare ring: the only path 0 -> 5 is through nodes 1..4 or 9..6.
-  OverlayGraph g(metric::Space1D::ring(10));
-  graph::wire_short_links(g);
+  const auto g = test_graph(10, 0, 1);  // no long links
   NetworkSimulator sim(g, FailureView::all_alive(g), core::RouterConfig{},
                        LatencyModel{1.0, 1.0}, /*seed=*/5);
   sim.submit_search(0.0, 0, 5);
@@ -151,8 +150,7 @@ TEST(NetworkSimulator, MidFlightFailureChangesTheOutcome) {
 }
 
 TEST(NetworkSimulator, RecoveryRestoresDelivery) {
-  OverlayGraph g(metric::Space1D::ring(10));
-  graph::wire_short_links(g);
+  const auto g = test_graph(10, 0, 1);  // no long links
   auto view = FailureView::all_alive(g);
   view.kill_node(2);
   view.kill_node(9);

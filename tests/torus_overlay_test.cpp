@@ -265,8 +265,6 @@ TEST(TorusOverlay, OneSidedRoutingRejectedOnTorus) {
 TEST(TorusOverlay, OneDimensionalShortLinkWiringRejectedOnTorus) {
   graph::GraphBuilder builder{metric::Space::torus(4)};
   EXPECT_THROW(builder.wire_short_links(), std::invalid_argument);
-  graph::OverlayGraph g{metric::Space::torus(4)};
-  EXPECT_THROW(graph::wire_short_links(g), std::invalid_argument);
 }
 
 TEST(TorusOverlay, BuildRejectsBadParameters) {
